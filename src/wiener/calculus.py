@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 from . import l1z
-from .certs import CU_ZERO, CertUpper, cu, cu_add, cu_mul, _up
+from .certs import CU_ZERO, CertUpper, cu, cu_add, cu_mul, cu_sum, _up
 from .errors import HypothesisFailure, InvalidInput, ToleranceUnreachable
 from .l1z import L1ZSeq, delta, norm_upper
 
@@ -106,6 +106,8 @@ def integrate(
     """
     if b < a:
         raise InvalidInput("integration bounds must satisfy a <= b")
+    if panels is not None and panels < 1:
+        raise InvalidInput("panels must be at least 1")
     if b == a:
         return l1z.zero(), CU_ZERO
     width = b - a
@@ -260,13 +262,17 @@ def resolvent_eval(u: L1ZSeq, z: complex, tol: float) -> L1ZSeq:
         if K > 100_000:
             raise ToleranceUnreachable("resolvent remainder does not shrink")
     acc: Dict[int, complex] = {}
+    tails = []
     term = delta(0, 1.0 / z)
     for n in range(K + 1):
         if n > 0:
             term = l1z.scale(1.0 / z, l1z.convolve(term, u))
         for m, c in term.coeffs.items():
             acc[m] = acc.get(m, 0j) + c
-    return L1ZSeq(acc, cu(rem))
+        tails.append(term.tail)
+    # the terms carry the tail of u; a tail-free u keeps the bare remainder
+    carried = cu_sum(tails)
+    return L1ZSeq(acc, cu_add(carried, cu(rem)) if carried.value else cu(rem))
 
 
 def resolvent_map(u: L1ZSeq, radius: float, tol: float) -> CurveMap:
@@ -297,6 +303,8 @@ def resolvent_loop_integral(
     Contract: the value is ``2*pi*i`` times the unit, within the
     certified error, witnessing that the algebra is nontrivial.
     """
+    if not math.isfinite(radius):
+        raise InvalidInput("radius must be finite")
     nu = norm_upper(u).value
     if not radius > nu * (1.0 + 1e-3):
         raise HypothesisFailure(

@@ -8,6 +8,7 @@ inputs and flags produce byte-identical output.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -15,15 +16,17 @@ import sys
 import click
 
 from . import calculus, inversion, l1r, l1z
-from .errors import (
-    CertificationFailure,
-    HypothesisFailure,
-    InvalidInput,
-    WienerError,
-)
+from .errors import HypothesisFailure, InvalidInput, WienerError
 
 _EXIT_FAILED = 2
 _EXIT_INVALID = 3
+
+# first match wins: every other library error is a certificate not reached
+_FAILURES = (
+    (InvalidInput, "invalid-input", _EXIT_INVALID),
+    (HypothesisFailure, "hypothesis-failed", _EXIT_FAILED),
+    (WienerError, "not-certified", _EXIT_FAILED),
+)
 
 
 def _emit(out, status: str, payload, log):
@@ -36,11 +39,6 @@ def _emit(out, status: str, payload, log):
             fh.write(text)
 
 
-def _fail(out, status, log, code):
-    _emit(out, status, None, log)
-    raise SystemExit(code)
-
-
 def _jsonable_report(report) -> dict:
     clean = {}
     for key, val in report.items():
@@ -51,19 +49,35 @@ def _jsonable_report(report) -> dict:
     return clean
 
 
-def _read_seq(path) -> l1z.L1ZSeq:
-    try:
-        with open(path) as fh:
-            return l1z.loads(fh.read())
-    except OSError as exc:
-        raise InvalidInput("cannot read %s: %s" % (path, exc)) from exc
+def _envelope(body):
+    """Wrap a body that returns ``(payload, log)`` as an enveloped command.
+
+    Adds ``--out``; a library error gives a payload-less envelope per ``_FAILURES``.
+    """
+
+    @click.option("--out", default=None)
+    @functools.wraps(body)
+    def command(out, **params):
+        try:
+            payload, log = body(**params)
+        except WienerError as exc:
+            status, code = next((s, c) for cls, s, c in _FAILURES if isinstance(exc, cls))
+            log = [str(exc)]
+            report = _jsonable_report(getattr(exc, "report", {}))
+            if report:
+                log.append("report: %s" % json.dumps(report, sort_keys=True))
+            _emit(out, status, None, log)
+            raise SystemExit(code)
+        _emit(out, "ok", payload, log)
+
+    return command
 
 
-def _read_fn(path) -> l1r.PLFunction:
+def _read(path, loads):
     try:
         with open(path) as fh:
-            return l1r.loads(fh.read())
-    except OSError as exc:
+            return loads(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput("cannot read %s: %s" % (path, exc)) from exc
 
 
@@ -77,32 +91,13 @@ def main():
 @click.option("--epsilon", required=True, type=float, help="circle lower bound to certify")
 @click.option("--target", required=True, type=float, help="residual target")
 @click.option("--grid", type=int, default=None, help="initial certification grid")
-@click.option("--out", default=None)
-def invert(input_path, epsilon, target, grid, out):
+@_envelope
+def invert(input_path, epsilon, target, grid):
     """Certified inverse of a sequence-algebra element."""
-    try:
-        f = _read_seq(input_path)
-    except InvalidInput as exc:
-        _fail(out, "invalid-input", [str(exc)], _EXIT_INVALID)
-    try:
-        inverse, cert = inversion.wiener_invert(f, epsilon, target, grid=grid)
-    except HypothesisFailure as exc:
-        log = [str(exc)]
-        lam = exc.report.get("worst_lambda")
-        if lam is not None:
-            log.append(
-                "minimum modulus not certifiable near lambda = %.6f%+.6fi"
-                % (lam.real, lam.imag)
-            )
-        log.append("report: %s" % json.dumps(_jsonable_report(exc.report), sort_keys=True))
-        _fail(out, "hypothesis-failed", log, _EXIT_FAILED)
-    except CertificationFailure as exc:
-        _fail(out, "not-certified", [str(exc)], _EXIT_FAILED)
-    payload = {
-        "inverse": l1z.to_jsonable(inverse),
-        "certificate": cert.to_jsonable(),
-    }
-    _emit(out, "ok", payload, ["residual %.3e" % cert.residual.value])
+    f = _read(input_path, l1z.loads)
+    inverse, cert = inversion.wiener_invert(f, epsilon, target, grid=grid)
+    payload = {"inverse": l1z.to_jsonable(inverse), "certificate": cert.to_jsonable()}
+    return payload, ["residual %.3e" % cert.residual.value]
 
 
 @main.command("resolvent-demo")
@@ -110,18 +105,12 @@ def invert(input_path, epsilon, target, grid, out):
 @click.option("--radius", required=True, type=float)
 @click.option("--steps", default=4096, type=int)
 @click.option("--tol", default=1e-6, type=float, help="resolvent series tolerance")
-@click.option("--out", default=None)
 @click.option("--trace", default=None, help="CSV trace of integrand samples")
-def resolvent_demo(u_path, radius, steps, tol, out, trace):
+@_envelope
+def resolvent_demo(u_path, radius, steps, tol, trace):
     """Loop integral of the resolvent over a circle: two pi i times the unit."""
-    try:
-        u = _read_seq(u_path)
-    except InvalidInput as exc:
-        _fail(out, "invalid-input", [str(exc)], _EXIT_INVALID)
-    try:
-        value, err = calculus.resolvent_loop_integral(u, radius, steps, tol)
-    except HypothesisFailure as exc:
-        _fail(out, "hypothesis-failed", [str(exc)], _EXIT_FAILED)
+    u = _read(u_path, l1z.loads)
+    value, err = calculus.resolvent_loop_integral(u, radius, steps, tol)
     if trace:
         fmap = calculus.resolvent_map(u, radius, tol)
         loop = calculus.circle_loop(radius)
@@ -141,7 +130,7 @@ def resolvent_demo(u_path, radius, steps, tol, out, trace):
         "err": err.value,
         "deviation_from_2pii": dev,
     }
-    _emit(out, "ok", payload, ["certified err %.3e" % err.value])
+    return payload, ["certified err %.3e" % err.value]
 
 
 @main.command()
@@ -150,90 +139,63 @@ def resolvent_demo(u_path, radius, steps, tol, out, trace):
 @click.option("--band", required=True, type=float)
 @click.option("--epsilon", required=True, type=float)
 @click.option("--tol", required=True, type=float)
-@click.option("--out", default=None)
-def tauberian(f_path, g_path, band, epsilon, tol, out):
+@_envelope
+def tauberian(f_path, g_path, band, epsilon, tol):
     """Certified division in the line algebra."""
-    try:
-        f = _read_fn(f_path)
-        g = _read_fn(g_path)
-    except InvalidInput as exc:
-        _fail(out, "invalid-input", [str(exc)], _EXIT_INVALID)
-    try:
-        k, residual = l1r.tauberian_divide(f, g, band, epsilon, tol)
-    except HypothesisFailure as exc:
-        _fail(out, "hypothesis-failed", ["hypothesis not certified", str(exc)], _EXIT_FAILED)
-    except CertificationFailure as exc:
-        log = ["division not certified"]
-        best = exc.report.get("best_residual")
-        if best is not None and best is not math.inf:
-            log.append("best residual %.3e above tol %.3e" % (best, tol))
-        _fail(out, "not-certified", log, _EXIT_FAILED)
-    payload = {
-        "witness": l1r.to_jsonable(k),
-        "residual": residual.value,
-    }
-    _emit(out, "ok", payload, ["residual %.3e" % residual.value])
+    f = _read(f_path, l1r.loads)
+    g = _read(g_path, l1r.loads)
+    k, residual = l1r.tauberian_divide(f, g, band, epsilon, tol)
+    payload = {"witness": l1r.to_jsonable(k), "residual": residual.value}
+    return payload, ["residual %.3e" % residual.value]
 
 
 @main.command()
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--tol", default=1e-9, type=float)
-@click.option("--out", default=None)
-def exp(input_path, tol, out):
+@_envelope
+def exp(input_path, tol):
     """Power-series exponential of a sequence-algebra element."""
-    try:
-        a = _read_seq(input_path)
-    except InvalidInput as exc:
-        _fail(out, "invalid-input", [str(exc)], _EXIT_INVALID)
-    result = calculus.banach_exp(a, tol)
-    _emit(out, "ok", l1z.to_jsonable(result), [])
+    result = calculus.banach_exp(_read(input_path, l1z.loads), tol)
+    return l1z.to_jsonable(result), []
 
 
 @main.command("eval")
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--re", "lam_re", default=1.0, type=float)
 @click.option("--im", "lam_im", default=0.0, type=float)
-@click.option("--out", default=None)
-def eval_cmd(input_path, lam_re, lam_im, out):
+@_envelope
+def eval_cmd(input_path, lam_re, lam_im):
     """Evaluate a sequence-algebra element on the unit circle."""
-    try:
-        a = _read_seq(input_path)
-        value, err = l1z.eval_circle(a, complex(lam_re, lam_im))
-    except InvalidInput as exc:
-        _fail(out, "invalid-input", [str(exc)], _EXIT_INVALID)
+    a = _read(input_path, l1z.loads)
+    value, err = l1z.eval_circle(a, complex(lam_re, lam_im))
     # reported bound covers the tail and the evaluation roundoff
     total_err = err.value + l1z.eval_roundoff_bound(a)
-    payload = {"re": value.real, "im": value.imag, "err": total_err}
-    _emit(out, "ok", payload, [])
+    return {"re": value.real, "im": value.imag, "err": total_err}, []
 
 
 @main.command()
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--kind", type=click.Choice(["seq", "fn"]), default="seq")
-@click.option("--out", default=None)
-def norm(input_path, kind, out):
+@_envelope
+def norm(input_path, kind):
     """Certified one-norm upper bound of an element."""
-    try:
-        if kind == "seq":
-            bound = l1z.norm_upper(_read_seq(input_path))
-        else:
-            bound = l1r.norm_l1(_read_fn(input_path))
-    except InvalidInput as exc:
-        _fail(out, "invalid-input", [str(exc)], _EXIT_INVALID)
-    _emit(out, "ok", {"norm_upper": bound.value}, [])
+    if kind == "seq":
+        bound = l1z.norm_upper(_read(input_path, l1z.loads))
+    else:
+        bound = l1r.norm_l1(_read(input_path, l1r.loads))
+    return {"norm_upper": bound.value}, []
 
 
 def run():
     try:
         main(standalone_mode=False)
     except click.ClickException as exc:
+        # usage errors: text on stderr, envelope on stdout
         exc.show()
+        _emit(None, "invalid-input", None, [exc.format_message()])
         raise SystemExit(_EXIT_INVALID)
     except click.exceptions.Abort:
         raise SystemExit(1)
-    except WienerError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        raise SystemExit(_EXIT_FAILED)
 
 
 if __name__ == "__main__":

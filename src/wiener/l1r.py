@@ -34,6 +34,7 @@ from .certs import (
     _up,
 )
 from .errors import (
+    BoundOverflow,
     CertificationFailure,
     HypothesisFailure,
     InvalidInput,
@@ -632,7 +633,7 @@ def from_jsonable(obj: dict) -> PLFunction:
         )
         slack = CertUpper(float(obj.get("l1_slack", 0.0)))
         return PLFunction(bp, vals, slack)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, BoundOverflow) as exc:
         raise InvalidInput("malformed function JSON: %s" % exc) from exc
 
 

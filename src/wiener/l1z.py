@@ -24,7 +24,7 @@ from .certs import (
     cu_mul,
     cu_sum_abs,
 )
-from .errors import InvalidInput
+from .errors import BoundOverflow, InvalidInput
 
 # dense numpy convolution pays off once the double loop gets this big
 _DENSE_CONV_THRESHOLD = 10_000
@@ -145,7 +145,7 @@ def eval_circle(a: L1ZSeq, lam: complex) -> Tuple[complex, CertUpper]:
     unrepresented tail (``|r(lam)| <= ||r||_1``).
     """
     lam = complex(lam)
-    if abs(abs(lam) - 1.0) > _CIRCLE_TOL:
+    if not abs(abs(lam) - 1.0) <= _CIRCLE_TOL:  # written so that NaN fails
         raise InvalidInput("not on circle")
     v = 0j
     for n, c in sorted(a.coeffs.items()):
@@ -227,7 +227,7 @@ def from_jsonable(obj: dict) -> L1ZSeq:
             coeffs[n] = complex(float(entry["re"]), float(entry["im"]))
         tail = CertUpper(float(obj.get("tail", 0.0)))
         return L1ZSeq(coeffs, tail)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, BoundOverflow) as exc:
         raise InvalidInput("malformed sequence JSON: %s" % exc) from exc
 
 

@@ -71,6 +71,9 @@ def test_integrate_validates():
         calculus.integrate(curve, 1.0, 0.0, panels=2)
     with pytest.raises(InvalidInput):
         calculus.integrate(curve, 0.0, 1.0)
+    for panels in (0, -3):
+        with pytest.raises(InvalidInput):
+            calculus.integrate(curve, 0.0, 1.0, panels=panels)
     value, err = calculus.integrate(curve, 1.0, 1.0, panels=2)
     assert value == l1z.zero() and err.value == 0.0
 
@@ -129,6 +132,19 @@ def test_resolvent_eval_scalar_oracle():
         assert abs(mpc(r.coeffs[0]) - want) <= 1e-10 + r.tail.value
 
 
+def test_resolvent_eval_tail_covers_tail_of_u():
+    # u = 0.5 d_1 with tail 0.1 contains u' = 0.5 d_1 + 0.1 d_0, whose
+    # resolvent at z = 2 has coefficients 0.5^n / 1.9^(n+1)
+    u = L1ZSeq({1: 0.5}, cu(0.1))
+    r = calculus.resolvent_eval(u, 2.0, 1e-6)
+    w = mpmath.mpf(19) / 10
+    exact = {n: mpmath.mpf(0.5) ** n / w ** (n + 1) for n in range(200)}
+    assert set(r.coeffs) <= set(exact)
+    dist = mpmath.fsum(abs(exact[n] - mpc(r.coeffs.get(n, 0j))) for n in exact)
+    assert dist > 0.04
+    assert mpmath.mpf(r.tail.value) >= dist
+
+
 def test_resolvent_eval_outside_region_raises():
     with pytest.raises(HypothesisFailure):
         calculus.resolvent_eval(delta(0, 2.0), 1.0, 1e-6)
@@ -144,6 +160,12 @@ def test_resolvent_loop_integral_is_2pii_unit():
 def test_resolvent_loop_integral_rejects_small_radius():
     with pytest.raises(HypothesisFailure):
         calculus.resolvent_loop_integral(delta(1), 0.5, 64, 1e-6)
+
+
+def test_resolvent_loop_integral_rejects_nonfinite_radius():
+    for radius in (math.nan, math.inf):
+        with pytest.raises(InvalidInput):
+            calculus.resolvent_loop_integral(delta(1), radius, 64, 1e-6)
 
 
 def test_mean_value_bound_check():

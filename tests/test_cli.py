@@ -6,7 +6,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from wiener import l1r, l1z
+from wiener import cli, l1r, l1z
 from wiener.cli import main
 from wiener.l1z import L1ZSeq
 
@@ -164,3 +164,85 @@ def test_out_flag_writes_file(tmp_path, runner):
     assert result.exit_code == 0
     doc = json.loads(out.read_text())
     assert doc["status"] == "ok"
+
+
+def _strict(token):
+    raise ValueError("non-JSON constant %s" % token)
+
+
+_INPUTS = {
+    "f.json": l1z.dumps(L1ZSeq({0: 1.0, 1: 0.5, -3: 0.125})),
+    "u.json": l1z.dumps(L1ZSeq({1: 1.0})),
+    "tri.json": l1r.dumps(l1r.triangle()),
+    "sing.json": l1z.dumps(L1ZSeq({0: 1.0, 1: 1.0})),
+    "huge.json": l1z.dumps(L1ZSeq({0: 1e300, 1: 1e300})),
+    "tail.json": '{"coeffs": [{"n": 0, "re": 1.0, "im": 0.0}], "tail": 1e400}',
+    "slack.json": l1r.dumps(l1r.triangle()).replace('"l1_slack": 0.0', '"l1_slack": 1e400'),
+}
+
+# failure cases, each with the exit code and status its envelope must give
+_FAILURE_ROWS = [
+    (["exp", "--input", "f.json", "--tol", "0"], 3, "invalid-input"),
+    (["resolvent-demo", "--u", "u.json", "--radius", "2", "--tol", "0"], 3, "invalid-input"),
+    (["invert", "--input", "f.json", "--epsilon", "0.3", "--target", "1e-8", "--grid", "4"],
+     3, "invalid-input"),
+    (["invert", "--input", "f.json", "--epsilon", "nan", "--target", "1e-8"], 3, "invalid-input"),
+    (["invert", "--input", "f.json", "--epsilon", "0.3", "--target", "0"], 3, "invalid-input"),
+    (["tauberian", "--f", "tri.json", "--g", "tri.json", "--band", "nan", "--epsilon", "0.1",
+      "--tol", "0.1"], 3, "invalid-input"),
+    (["tauberian", "--f", "tri.json", "--g", "tri.json", "--band", "0.5", "--epsilon", "0.1",
+      "--tol", "1e-13"], 2, "not-certified"),
+    (["exp", "--input", "huge.json"], 2, "not-certified"),
+    (["norm", "--input", "f.json", "--kind", "bogus"], 3, "invalid-input"),
+    (["resolvent-demo", "--u", "u.json", "--radius", "2", "--steps", "0"], 3, "invalid-input"),
+    (["resolvent-demo", "--u", "u.json", "--radius", "2", "--steps", "-3"], 3, "invalid-input"),
+    (["resolvent-demo", "--u", "u.json", "--radius", "nan"], 3, "invalid-input"),
+    (["resolvent-demo", "--u", "u.json", "--radius", "inf"], 3, "invalid-input"),
+    (["eval", "--input", "f.json", "--re", "nan"], 3, "invalid-input"),
+    (["norm", "--input", "tail.json"], 3, "invalid-input"),
+    (["norm", "--input", "slack.json", "--kind", "fn"], 3, "invalid-input"),
+    (["norm", "--input", "binary.bin"], 3, "invalid-input"),
+    (["invert", "--input", "sing.json", "--epsilon", "0.1", "--target", "1e-6"],
+     2, "hypothesis-failed"),
+]
+
+
+def _run_cli(monkeypatch, capsys, args):
+    monkeypatch.setattr("sys.argv", ["wiener", *args])
+    code = 0
+    try:
+        cli.run()
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize(
+    "args, code, status", _FAILURE_ROWS, ids=[" ".join(row[0]) for row in _FAILURE_ROWS]
+)
+def test_failure_contract(tmp_path, monkeypatch, capsys, args, code, status):
+    for name, text in _INPUTS.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "binary.bin").write_bytes(b"\xff\xfe\x00\x81")
+    monkeypatch.chdir(tmp_path)
+    got, out, err = _run_cli(monkeypatch, capsys, args)
+    assert "Traceback" not in err
+    assert got == code
+    doc = json.loads(out, parse_constant=_strict)
+    assert doc["status"] == status
+    assert doc["payload"] is None
+    assert doc["log"]
+
+
+def test_failure_envelope_goes_to_out(tmp_path, monkeypatch, capsys):
+    (tmp_path / "u.json").write_text(_INPUTS["u.json"])
+    monkeypatch.chdir(tmp_path)
+    got, out, err = _run_cli(
+        monkeypatch, capsys,
+        ["resolvent-demo", "--u", "u.json", "--radius", "2", "--steps", "0", "--out", "r.json"],
+    )
+    assert (got, out, err) == (3, "", "")
+    doc = json.loads((tmp_path / "r.json").read_text(), parse_constant=_strict)
+    assert doc == {"status": "invalid-input", "payload": None,
+                   "log": ["panels must be at least 1"]}

@@ -145,6 +145,10 @@ def test_eval_circle_matches_oracle(a, ):
 def test_eval_circle_rejects_off_circle():
     with pytest.raises(InvalidInput):
         l1z.eval_circle(delta(0), 0.5 + 0.5j)
+    # NaN compares false against the circle tolerance and must still fail
+    for lam in (complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0)):
+        with pytest.raises(InvalidInput):
+            l1z.eval_circle(delta(0), lam)
 
 
 @given(seqs)
@@ -194,6 +198,11 @@ def test_json_rejects_malformed():
         l1z.from_jsonable(
             {"coeffs": [{"n": 1, "re": 1.0, "im": 0.0}, {"n": 1, "re": 2.0, "im": 0.0}]}
         )
+    # an overflowing tail or index is malformed input, not a bound overflow
+    with pytest.raises(InvalidInput):
+        l1z.loads('{"coeffs": [{"n": 0, "re": 1.0, "im": 0.0}], "tail": 1e400}')
+    with pytest.raises(InvalidInput):
+        l1z.loads('{"coeffs": [{"n": 1e400, "re": 1.0, "im": 0.0}]}')
 
 
 def test_json_deterministic():
