@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .errors import BoundOverflow, InvalidInput
 
 #: one unit in the last place of the double mantissa
@@ -116,6 +118,11 @@ def cu_max(a: CertUpper, b: CertUpper) -> CertUpper:
     return a if a.value >= b.value else b
 
 
+def cu_cross(ta: CertUpper, na: CertUpper, tb: CertUpper, nb: CertUpper) -> CertUpper:
+    """Bound ``ta*||b|| + tb*||a|| + ta*tb`` on the slack of a product ``a * b``."""
+    return cu_add(cu_add(cu_mul(ta, nb), cu_mul(tb, na)), cu_mul(ta, tb))
+
+
 def cu_sum_abs(xs: Iterable[complex]) -> CertUpper:
     """Upper bound on ``sum(|x|)``, left-to-right with per-step slack."""
     s = 0.0
@@ -159,3 +166,39 @@ def cu_from_float_sum(total: float, nterms: int) -> CertUpper:
 def _has_nan(c: complex) -> bool:
     c = complex(c)
     return math.isnan(c.real) or math.isnan(c.imag)
+
+
+def fft_roundoff(n: int, norm2: float) -> float:
+    """Error bound on each output of a length-``n`` FFT of ``x``, ``||x||_2 <= norm2``.
+
+    ``|y'_k - y_k| <= ||y' - y||_2 <= c log2(n) u sqrt(n) ||x||_2`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 24), with two more
+    stages for mixed radices; ``_GUARD`` covers underflow for ``n < 2**40``.
+    """
+    return _up(8.0 * ULP * (math.log2(n) + 2.0) * math.sqrt(n) * norm2 + _GUARD)
+
+
+def certify_min_modulus(sample, lipschitz: float, eps: float, n: int, cap: int) -> dict:
+    """Try to prove ``|F| >= eps`` from samples on grids doubling from ``n``.
+
+    ``sample(n) -> (points, values, err, half_spacing)`` gives ``F`` at
+    points within ``half_spacing`` of every point of the domain, up to
+    ``err`` (which must cover a few ulps of ``|values|``); with
+    ``|F'| <= lipschitz`` each point proves ``|value| - err - lipschitz *
+    half_spacing``.  Stops when that proves ``eps`` (``ok``), when some
+    ``|value| + err < eps`` (``definitely_fails``: no grid can), or at ``cap``.
+    """
+    while True:
+        points, values, err, half = sample(n)
+        mods = np.abs(values)
+        fill = _up(lipschitz * half)
+        lower = mods - err - fill
+        worst = int(np.argmin(lower))
+        ok = bool(lower[worst] >= eps)
+        fails = bool(np.min(mods) + err < eps)
+        if ok or fails or n >= cap:
+            return dict(N=n, eps=eps, ok=ok, definitely_fails=fails,
+                        min_certified_lower=float(lower[worst]),
+                        worst_point=points[worst].item(), lipschitz=lipschitz,
+                        fill_slack=fill, err=err)
+        n *= 2

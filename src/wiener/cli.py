@@ -35,8 +35,15 @@ def _emit(out, status: str, payload, log):
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
+        _write(out, text)
+
+
+def _write(path, text: str):
+    try:
+        with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InvalidInput("cannot write %s: %s" % (path, exc)) from exc
 
 
 def _jsonable_report(report) -> dict:
@@ -52,7 +59,8 @@ def _jsonable_report(report) -> dict:
 def _envelope(body):
     """Wrap a body that returns ``(payload, log)`` as an enveloped command.
 
-    Adds ``--out``; a library error gives a payload-less envelope per ``_FAILURES``.
+    Adds ``--out`` (stdout when it cannot be written); a library error gives
+    a payload-less envelope per ``_FAILURES``.
     """
 
     @click.option("--out", default=None)
@@ -60,15 +68,19 @@ def _envelope(body):
     def command(out, **params):
         try:
             payload, log = body(**params)
+            return _emit(out, "ok", payload, log)
         except WienerError as exc:
             status, code = next((s, c) for cls, s, c in _FAILURES if isinstance(exc, cls))
             log = [str(exc)]
             report = _jsonable_report(getattr(exc, "report", {}))
             if report:
                 log.append("report: %s" % json.dumps(report, sort_keys=True))
+        try:
             _emit(out, status, None, log)
-            raise SystemExit(code)
-        _emit(out, "ok", payload, log)
+        except InvalidInput as exc:
+            status, code = "invalid-input", _EXIT_INVALID
+            _emit(None, status, None, [str(exc)])
+        raise SystemExit(code)
 
     return command
 
@@ -121,8 +133,7 @@ def resolvent_demo(u_path, radius, steps, tol, trace):
             z = loop.point(t)
             sample = fmap.fn(z).coeffs.get(0, 0j) * loop.derivative(t)
             lines.append("%r,%r,%r" % (t, sample.real, sample.imag))
-        with open(trace, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write(trace, "\n".join(lines) + "\n")
     target = l1z.delta(0, 2j * math.pi)
     dev = l1z.norm_upper(l1z.sub(value, target)).value
     payload = {

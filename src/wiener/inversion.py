@@ -13,29 +13,18 @@ below one *is* the proof of invertibility via the geometric series.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
 
-from . import l1z
-from .certs import CU_ZERO, ULP, CertUpper, cu, cu_add, cu_div, cu_mul, _up
+from . import certs, l1z
+from .certs import ULP, CertUpper, cu, cu_add, cu_div, cu_mul, _up
 from .errors import CertificationFailure, HypothesisFailure, InvalidInput
 from .l1z import L1ZSeq, convolve, delta, norm_upper, sub
 
-_DEFAULT_GRID_CAP = 2 ** 20
-_DEGREE_CAP = 2 ** 20
-
-
-def _grid_cap() -> int:
-    raw = os.environ.get("WIENER_MAX_GRID")
-    if raw is None:
-        return _DEFAULT_GRID_CAP
-    try:
-        return max(8, int(raw))
-    except ValueError:
-        return _DEFAULT_GRID_CAP
+#: largest grid of roots of unity, for certification and for sampling
+_GRID_CAP = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -177,51 +166,48 @@ def newton_refine(
     return x, cert
 
 
+def _circle_sampler(f: L1ZSeq):
+    """``certify_min_modulus`` sampler of ``f`` on the n-th roots of unity.
+
+    One FFT of the coefficients folded mod n (at most ``ceil(span / n)``
+    to a bucket); every point of the circle is within an arc ``pi / n``.
+    Indices stay Python ints until folded, so any index folds exactly.
+    """
+    keys = np.array(list(f.coeffs), dtype=object)
+    c = np.fromiter(f.coeffs.values(), dtype=complex, count=keys.size)
+    mass = float(np.sum(np.abs(c)))
+    lo, hi = f.support()
+
+    def sample(n: int):
+        j = (keys % n).astype(np.int64)
+        x = np.empty(n, dtype=complex)
+        x.real = np.bincount(j, weights=c.real, minlength=n)
+        x.imag = np.bincount(j, weights=c.imag, minlength=n)
+        values = np.fft.ifft(x, norm="forward")  # unscaled: sum_j x_j w^(jk)
+        fold = (-((lo - hi - 1) // n) - 1) * ULP * mass  # ceil(span / n) - 1 roundings
+        fft = certs.fft_roundoff(n, math.sqrt(np.vdot(x, x).real))
+        err = _up(f.tail.value + fold + fft)
+        return np.exp((2j * math.pi / n) * np.arange(n)), values, err, math.pi / n
+
+    return sample
+
+
 def circle_min_modulus_certify(
     f: L1ZSeq, eps: float, N: int
 ) -> Tuple[bool, Dict[str, object]]:
     """Try to prove ``|f(lam)| >= eps`` on the whole unit circle.
 
-    Evaluates the finite part on the N-th roots of unity and subtracts
-    the tail, the evaluation roundoff envelope and the Lipschitz arc
-    slack ``L * pi / N``.  ``True`` is a proof; ``False`` only reports
-    the failing grid point (callers may retry with a bigger N).  The
-    report flags ``definitely_fails`` when some grid point's certified
-    *upper* bound already sits below ``eps``: no grid can then succeed.
+    Grid plus Lipschitz (``certify_min_modulus``) on roots of unity, the
+    grid doubling from ``N`` up to 2**20.  ``True`` is a proof; ``False``
+    comes with the last grid's report.
     """
     if N < 8:
         raise InvalidInput("grid size must be at least 8")
     if not eps > 0.0:
         raise InvalidInput("eps must be positive")
-    finite = L1ZSeq(dict(f.coeffs))
-    tail = f.tail.value
-    L = l1z.circle_lipschitz_upper(finite).value
-    arc_slack = _up(L * (math.pi / N))
-    rnd = l1z.eval_roundoff_bound(finite)
-    # phase roundoff of the grid points themselves, folded via L
-    rnd += L * 64.0 * 2.0 ** -52
-
-    ks = np.arange(N)
-    vals = np.zeros(N, dtype=complex)
-    for n, c in sorted(finite.coeffs.items()):
-        vals += c * np.exp((2j * math.pi * n / N) * ks)
-    mods = np.abs(vals)
-    lower = mods - tail - rnd - arc_slack
-    upper = mods + tail + rnd
-    worst = int(np.argmin(lower))
-    ok = bool(lower[worst] >= eps)
-    report = {
-        "N": N,
-        "eps": eps,
-        "min_certified_lower": float(lower[worst]),
-        "worst_index": worst,
-        "worst_lambda": complex(np.exp(2j * math.pi * worst / N)),
-        "lipschitz": L,
-        "arc_slack": arc_slack,
-        "tail": tail,
-        "definitely_fails": bool(np.min(upper) < eps),
-    }
-    return ok, report
+    L = l1z.circle_lipschitz_upper(L1ZSeq(f.coeffs)).value
+    report = certs.certify_min_modulus(_circle_sampler(f), L, eps, N, _GRID_CAP)
+    return report["ok"], report
 
 
 def wiener_invert(
@@ -239,19 +225,12 @@ def wiener_invert(
     """
     if not target > 0.0:
         raise InvalidInput("target must be positive")
-    cap = _grid_cap()
-    N = grid if grid is not None else 64
-    report = None
-    while True:
-        ok, report = circle_min_modulus_certify(f, eps, N)
-        if ok:
-            break
-        if report["definitely_fails"] or N >= cap:
-            raise HypothesisFailure(
-                "hypothesis fails: no certified minimum modulus on the circle",
-                report=report,
-            )
-        N *= 2
+    ok, report = circle_min_modulus_certify(f, eps, grid if grid is not None else 64)
+    if not ok:
+        raise HypothesisFailure(
+            "hypothesis fails: no certified minimum modulus on the circle",
+            report=report,
+        )
 
     g = l1z.truncate(f, eps / 8.0) if len(f.coeffs) > 2048 else f
     lo, hi = g.support()
@@ -262,6 +241,11 @@ def wiener_invert(
         M *= 2
     best_rho = math.inf
     while True:
+        if M > _GRID_CAP:
+            raise CertificationFailure(
+                "inversion not certified",
+                report={"best_rho": best_rho, "grid": report["N"], "degree": M},
+            )
         samples = np.zeros(M, dtype=complex)
         ks = np.arange(M)
         for n, c in sorted(g.coeffs.items()):
@@ -280,14 +264,9 @@ def wiener_invert(
             break
         best_rho = min(best_rho, rho.value)
         M *= 2
-        if M > _DEGREE_CAP:
-            raise CertificationFailure(
-                "inversion not certified",
-                report={"best_rho": best_rho, "grid": N},
-            )
     inverse, cert = newton_refine(f, h, target)
     params = dict(cert.params)
-    params.update({"grid": N, "degree": M, "target": target, "eps": eps})
+    params.update({"grid": report["N"], "degree": M, "target": target, "eps": eps})
     return inverse, InversionCertificate(inverse, cert.residual, params)
 
 

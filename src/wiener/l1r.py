@@ -27,8 +27,10 @@ from .certs import (
     CU_ZERO,
     ULP,
     CertUpper,
+    certify_min_modulus,
     cu,
     cu_add,
+    cu_cross,
     cu_from_float_sum,
     cu_mul,
     _up,
@@ -209,17 +211,11 @@ def _resample_uniform(f: PLFunction, h: float) -> Tuple[PLFunction, float]:
 def _fast_conv(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, float]:
     """Full discrete convolution and a per-node roundoff envelope."""
     n_out = a.size + b.size - 1
-    if a.size * b.size <= 1 << 21:
-        out = np.convolve(a, b)
-        eta = (min(a.size, b.size) + 4.0) * 2.0 * ULP
-    else:
-        nfft = 1
-        while nfft < n_out:
-            nfft *= 2
-        fa = np.fft.fft(a, nfft)
-        fb = np.fft.fft(b, nfft)
-        out = np.fft.ifft(fa * fb)[:n_out]
-        eta = 8.0 * ULP * (math.log2(nfft) + 2.0)
+    nfft = 1
+    while nfft < n_out:
+        nfft *= 2
+    out = np.fft.ifft(np.fft.fft(a, nfft) * np.fft.fft(b, nfft))[:n_out]
+    eta = 8.0 * ULP * (math.log2(nfft) + 2.0)
     node_err = eta * float(np.linalg.norm(a) * np.linalg.norm(b))
     return out, _up(node_err)
 
@@ -229,10 +225,7 @@ def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
     if not tol > 0.0:
         raise InvalidInput("tol must be positive")
     if not np.any(f.values) or not np.any(g.values):
-        slack = cu_add(
-            cu_add(cu_mul(f.l1_slack, norm_l1(g)), cu_mul(g.l1_slack, norm_l1(f))),
-            cu_mul(f.l1_slack, g.l1_slack),
-        )
+        slack = cu_cross(f.l1_slack, norm_l1(f), g.l1_slack, norm_l1(g))
         return PLFunction(np.array([0.0, 1.0]), np.zeros(2, dtype=complex), slack)
 
     tv_f, tv_g = _value_variation(f), _value_variation(g)
@@ -259,11 +252,7 @@ def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
     # interpolation error of the exact piecewise-cubic convolution
     interp = _up(0.25 * h * h * _up(1.01 * tv_f * tv_g))
     fft_l1 = _up(nodes.size * h * h * node_err)
-    nfh, ngh = norm_l1(fh), norm_l1(gh)
-    cross = cu_add(
-        cu_add(cu_mul(fh.l1_slack, ngh), cu_mul(gh.l1_slack, nfh)),
-        cu_mul(fh.l1_slack, gh.l1_slack),
-    )
+    cross = cu_cross(fh.l1_slack, norm_l1(fh), gh.l1_slack, norm_l1(gh))
     slack = cu_add(cross, cu(_up(interp + fft_l1)))
     return PLFunction(bp, nodes, slack)
 
@@ -503,43 +492,22 @@ def spectrum_compactify(g: PLFunction, lam: float, tol: float) -> PLFunction:
 # Tauberian division
 
 
-def certify_transform_lower(
-    f: PLFunction, band: float, eps: float, max_points: int = 1 << 21
-) -> Dict[str, object]:
+def certify_transform_lower(f: PLFunction, band: float, eps: float) -> Dict[str, object]:
     """Prove ``|f_hat| >= eps`` on ``[-band, band]`` by grid plus Lipschitz.
 
-    Pointwise the transform of any represented element differs from the
-    PL transform by at most the slack, and between grid points by at
-    most the Lipschitz bound times half the spacing.  Raises
+    ``certify_min_modulus`` on 256 up to 2**21 intervals; raises
     HypothesisFailure when the bound cannot be certified.
     """
-    lip = transform_lipschitz_upper(f).value
-    npts = 257
-    report: Dict[str, object] = {}
-    while True:
-        ps = np.linspace(-band, band, npts)
-        spacing = 2.0 * band / (npts - 1)
+
+    def sample(n: int):
+        ps = np.linspace(-band, band, n + 1)
         vals, err = fourier_eval_many(f, ps)
-        mods = np.abs(vals)
-        fill = _up(lip * spacing / 2.0)
-        lower = mods - err.value - fill
-        worst = int(np.argmin(lower))
-        report = {
-            "points": npts,
-            "min_certified_lower": float(lower[worst]),
-            "worst_p": float(ps[worst]),
-            "lipschitz": lip,
-            "fill_slack": fill,
-            "transform_err": err.value,
-        }
-        if lower[worst] >= eps:
-            report["ok"] = True
-            return report
-        if float(np.min(mods + err.value)) < eps:
-            raise HypothesisFailure("hypothesis not certified", report=report)
-        if npts >= max_points:
-            raise HypothesisFailure("hypothesis not certified", report=report)
-        npts = 2 * npts - 1
+        return ps, vals, err.value, band / n
+
+    report = certify_min_modulus(sample, transform_lipschitz_upper(f).value, eps, 256, 1 << 21)
+    if not report["ok"]:
+        raise HypothesisFailure("hypothesis not certified", report=report)
+    return report
 
 
 def tauberian_divide(
@@ -589,11 +557,9 @@ def tauberian_divide(
 
         nx = int(math.ceil(Xk / hx))
         xs = hx * np.arange(-nx, nx + 1)
-        kv = np.zeros(xs.size, dtype=complex)
-        chunk = max(1, (1 << 21) // ps.size)
-        for lo in range(0, xs.size, chunk):
-            hi = min(lo + chunk, xs.size)
-            kv[lo:hi] = np.exp(1j * xs[lo:hi, None] * ps[None, :]) @ (weights * khat)
+        # both grids are uniform: sum_i w_i khat_i exp(i x_j p_i) by chirp-Z
+        a = weights * khat * np.exp(1j * xs[0] * (ps - ps[0]))
+        kv = np.exp(1j * xs * ps[0]) * _czt(a, xs.size, -hx * dp)
         kv[0] = 0.0
         kv[-1] = 0.0
         k = PLFunction(xs, kv)

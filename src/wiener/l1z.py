@@ -21,6 +21,7 @@ from .certs import (
     CertUpper,
     cu_abs,
     cu_add,
+    cu_cross,
     cu_mul,
     cu_sum_abs,
 )
@@ -105,11 +106,7 @@ def convolve(a: L1ZSeq, b: L1ZSeq) -> L1ZSeq:
     """Convolution product; tails combine by the subadditive cross bound."""
     tail = CU_ZERO
     if a.tail.value != 0.0 or b.tail.value != 0.0:
-        na, nb = norm_upper(a), norm_upper(b)
-        tail = cu_add(
-            cu_add(cu_mul(a.tail, nb), cu_mul(b.tail, na)),
-            cu_mul(a.tail, b.tail),
-        )
+        tail = cu_cross(a.tail, norm_upper(a), b.tail, norm_upper(b))
     if not a.coeffs or not b.coeffs:
         return L1ZSeq({}, tail)
     if len(a.coeffs) * len(b.coeffs) <= _DENSE_CONV_THRESHOLD:

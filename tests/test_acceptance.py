@@ -5,6 +5,7 @@ tolerance and prints a single pass/fail line.  Oracles are either
 closed forms, 128-bit recomputation, or independent fine-grid numerics.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -348,6 +349,7 @@ def test_criterion_11_cli_determinism(tmp_path):
         ["resolvent-demo", "--u", str(u_path), "--radius", "2", "--steps", "256"],
     ]
     ok = True
+    digests = []
     for args in commands:
         runs = [
             _cli(args).stdout,
@@ -356,4 +358,6 @@ def test_criterion_11_cli_determinism(tmp_path):
             _cli(args, {"OMP_NUM_THREADS": "4", "OPENBLAS_NUM_THREADS": "4"}).stdout,
         ]
         ok = ok and all(r == runs[0] for r in runs[1:]) and runs[0]
-    _report(11, bool(ok), "%d golden commands, 4 runs each" % len(commands))
+        digests.append("%s %s" % (args[0], hashlib.sha256(runs[0].encode()).hexdigest()[:16]))
+    _report(11, bool(ok), "%d golden commands, 4 runs each, stdout sha256 %s"
+            % (len(commands), ", ".join(digests)))

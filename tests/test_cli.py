@@ -175,6 +175,7 @@ _INPUTS = {
     "u.json": l1z.dumps(L1ZSeq({1: 1.0})),
     "tri.json": l1r.dumps(l1r.triangle()),
     "sing.json": l1z.dumps(L1ZSeq({0: 1.0, 1: 1.0})),
+    "far.json": l1z.dumps(L1ZSeq({0: 1.0, 2 ** 70: 1e-300})),
     "huge.json": l1z.dumps(L1ZSeq({0: 1e300, 1: 1e300})),
     "tail.json": '{"coeffs": [{"n": 0, "re": 1.0, "im": 0.0}], "tail": 1e400}',
     "slack.json": l1r.dumps(l1r.triangle()).replace('"l1_slack": 0.0', '"l1_slack": 1e400'),
@@ -204,6 +205,11 @@ _FAILURE_ROWS = [
     (["norm", "--input", "binary.bin"], 3, "invalid-input"),
     (["invert", "--input", "sing.json", "--epsilon", "0.1", "--target", "1e-6"],
      2, "hypothesis-failed"),
+    (["invert", "--input", "far.json", "--epsilon", "0.5", "--target", "1e-6"],
+     2, "not-certified"),
+    (["norm", "--input", "f.json", "--out", "missing/x.json"], 3, "invalid-input"),
+    (["resolvent-demo", "--u", "u.json", "--radius", "2", "--steps", "16",
+      "--trace", "missing/t.csv"], 3, "invalid-input"),
 ]
 
 
@@ -233,6 +239,9 @@ def test_failure_contract(tmp_path, monkeypatch, capsys, args, code, status):
     assert doc["status"] == status
     assert doc["payload"] is None
     assert doc["log"]
+    for arg in args:
+        if arg.startswith("missing/"):
+            assert arg in doc["log"][0]
 
 
 def test_failure_envelope_goes_to_out(tmp_path, monkeypatch, capsys):

@@ -11,7 +11,7 @@ from wiener.certs import cu
 from wiener.errors import CertificationFailure, HypothesisFailure, InvalidInput
 from wiener.l1z import L1ZSeq, delta
 
-from conftest import mp_residual, random_seq
+from conftest import mp_residual, mpc, random_seq
 
 
 def test_residual_norm_unit():
@@ -116,16 +116,60 @@ def test_wiener_invert_hypothesis_failure():
         inversion.wiener_invert(f, 0.25, 1e-6)
 
 
-def test_grid_cap_env(monkeypatch):
-    # a symbol that is invertible but with minimum modulus below eps:
-    # certification must give up at the configured cap instead of spinning
-    monkeypatch.setenv("WIENER_MAX_GRID", "256")
-    f = L1ZSeq({0: 1.0, 1: 0.9})
-    with pytest.raises(HypothesisFailure):
-        inversion.wiener_invert(f, 0.5, 1e-6)
-    monkeypatch.delenv("WIENER_MAX_GRID")
-    inv, cert = inversion.wiener_invert(f, 0.05, 1e-6)
+def test_grid_cap_env():
+    # the grid cap is the fixed 2**20, with no environment knob: 1 + 0.5 z
+    # has minimum modulus exactly 0.5, so eps = 0.5 is neither proved nor
+    # refuted and the doubling must stop at the cap
+    with pytest.raises(HypothesisFailure) as exc:
+        inversion.wiener_invert(L1ZSeq({0: 1.0, 1: 0.5}), 0.5, 1e-6)
+    assert exc.value.report["N"] == 2 ** 20
+    assert not exc.value.report["definitely_fails"]
+    inv, cert = inversion.wiener_invert(L1ZSeq({0: 1.0, 1: 0.9}), 0.05, 1e-6)
     assert cert.residual.value <= 1e-6
+
+
+def _mp_circle_value(coeffs, N, k):
+    """128-bit ``sum_n c_n w^(n k)`` with ``w = exp(2 pi i / N)``."""
+    return mpmath.fsum(
+        mpc(c) * mpmath.expjpi(mpmath.mpf(2 * (n * k % N)) / N) for n, c in coeffs.items()
+    )
+
+
+@pytest.mark.parametrize(
+    "nnz, radius, scale, N, checked",
+    [
+        (600, 5000, 1.0, 16, 16),  # long sums fold: ~40 terms a bucket
+        (1023, 511, 1.0, 1024, 16),  # dense, no fold: only the FFT rounds
+        (40, 100, 1e-300, 256, 256),  # near the subnormal range
+        (40, 100, 1e-318, 64, 64),  # inside it: only the absolute guard holds
+        (200, 100_000, 1.0, 2 ** 16, 48),
+        (200, 3000, 1.0, 1009, 48),  # prime length
+    ],
+)
+def test_circle_samples_within_fft_envelope(nnz, radius, scale, N, checked):
+    rng = np.random.default_rng(nnz + N)
+    idx = rng.choice(np.arange(-radius, radius + 1), size=nnz, replace=False)
+    vals = scale * (rng.normal(size=nnz) + 1j * rng.normal(size=nnz))
+    ks = rng.choice(N, size=checked, replace=False).tolist() if checked < N else range(N)
+    _check_circle_samples(dict(zip(idx.tolist(), vals.tolist())), N, ks)
+
+
+def test_circle_samples_cover_cancelling_folds():
+    # each bucket mod 16 sums to almost zero: the FFT sees a tiny input and
+    # only the fold's own summation error is left to cover
+    rng = np.random.default_rng(16)
+    coeffs = {}
+    for j in range(16):
+        c = rng.normal(size=50) + 1j * rng.normal(size=50)
+        coeffs.update(zip(range(j, j + 16 * 50, 16), (c - c.mean()).tolist()))
+    _check_circle_samples(coeffs, 16, range(16))
+
+
+def _check_circle_samples(coeffs, N, ks):
+    points, values, err, half = inversion._circle_sampler(L1ZSeq(coeffs))(N)
+    assert values.shape == points.shape == (N,) and half == math.pi / N
+    worst = max(abs(mpc(values[k]) - _mp_circle_value(coeffs, N, k)) for k in ks)
+    assert 0 < worst <= err
 
 
 def test_quotient_norm_upper():

@@ -337,6 +337,25 @@ def test_certify_transform_lower_fejer():
     assert report["min_certified_lower"] >= 0.45
 
 
+def test_certify_transform_lower_report():
+    # the triangle transform (sin(p/2) / (p/2))**2 is 0.4053 at p = pi and
+    # its modulus falls toward the band's ends, where the worst point lies
+    t = triangle()
+    report = l1r.certify_transform_lower(t, math.pi, 0.4)
+    lip = l1r.transform_lipschitz_upper(t).value
+    assert report["ok"] and not report["definitely_fails"]
+    assert report["N"] >= 256 and report["lipschitz"] == lip
+    assert report["fill_slack"] >= lip * math.pi / report["N"]
+    assert abs(abs(report["worst_point"]) - math.pi) <= 2 * math.pi / report["N"]
+    true_min = (math.sin(math.pi / 2) / (math.pi / 2)) ** 2
+    assert 0.4 <= report["min_certified_lower"] <= true_min
+    assert report["min_certified_lower"] >= true_min - 2 * report["err"] - report["fill_slack"]
+    with pytest.raises(HypothesisFailure) as exc:
+        l1r.certify_transform_lower(t, 7.0, 0.1)
+    assert exc.value.report["definitely_fails"] and not exc.value.report["ok"]
+    assert exc.value.report["N"] == 256
+
+
 def test_certify_transform_lower_fails_honestly():
     # the triangle transform vanishes at 2 pi
     t = triangle()
