@@ -4,7 +4,8 @@ Elements are compactly supported complex piecewise-linear functions plus
 an L1 slack: a :class:`PLFunction` stands for every true integrable
 function within ``l1_slack`` of it in the one-norm.  Convolution,
 Fourier evaluation, the Fejer and De la Vallee Poussin kernels, and the
-Tauberian division algorithm all maintain that certified reading.
+Tauberian division algorithm all maintain that certified reading.  Fourier
+evaluation is closed-form segment sums, or chirp-Z sums on a uniform grid.
 
 Convolution strategy: both inputs are resampled onto a common uniform
 grid (certified resampling error), the exact node values of the
@@ -33,6 +34,7 @@ from .certs import (
     cu_cross,
     cu_from_float_sum,
     cu_mul,
+    fft_roundoff,
     _up,
 )
 from .errors import (
@@ -46,6 +48,8 @@ from .errors import (
 _NODE_CAP = 2 ** 23
 _NORM_PANELS = 64
 _SEG_CHUNK = 1 << 16
+_PAIR_CUT = 1 << 20
+_RESAMPLE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -261,114 +265,109 @@ def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
 # Fourier transform evaluation
 
 
-def _transform_chunk(xi, Lseg, vi, si, ps) -> np.ndarray:
-    """Closed-form segment transforms for a block of frequencies.
+def _czt(a: np.ndarray, k: int, theta: float) -> Tuple[np.ndarray, float]:
+    """Chirp-Z sums ``A_j = sum_i a_i exp(-1j theta i j)`` via Bluestein.
 
-    Per segment of length L starting at x0 with value v and slope s the
-    contribution is ``exp(-i p x0) * (v * I0 + s * I1)`` where I0, I1
-    are the moments of ``exp(-i p u)`` on [0, L]; a short power series
-    takes over when ``|p| L`` is tiny.
+    Also bounds each sum's error: the chirp phases (arguments off by an ulp
+    of ``theta (n + k)**2``) and the FFT convolution (Higham's bound on the
+    three FFTs and the product, ``||y||_2 ||v||_1 / sqrt(L)``, ``||v||_1 < n + k``).
     """
-    I0, I1 = _segment_moments(Lseg, ps)
-    phase = np.exp(-1j * ps[:, None] * xi[None, :])
-    return (phase * (vi[None, :] * I0 + si[None, :] * I1)).sum(axis=1)
+    n, m = a.size, a.size + k
+    y = a * np.exp(-0.5j * theta * np.arange(n, dtype=float) ** 2)
+    v = np.exp(0.5j * theta * np.arange(-(n - 1), k, dtype=float) ** 2)
+    L = 1 << (2 * n + k - 3).bit_length()  # the first power of two >= 2 n + k - 2
+    core = np.fft.ifft(np.fft.fft(y, L) * np.fft.fft(v, L))[n - 1 : n - 1 + k]
+    err = ULP * (abs(theta) * m * m + 8.0) * float(np.sum(np.abs(a)))
+    err += 4.0 * m * fft_roundoff(L, float(np.linalg.norm(a))) / math.sqrt(L)
+    return np.exp(-0.5j * theta * np.arange(k, dtype=float) ** 2) * core, _up(err)
 
 
-def _czt(a: np.ndarray, k: int, theta: float) -> np.ndarray:
-    """Chirp-Z sums ``A_j = sum_i a_i exp(-1j theta i j)`` via Bluestein."""
-    n = a.size
-    idx_n = np.arange(n)
-    idx_k = np.arange(k)
-    y = a * np.exp(-0.5j * theta * idx_n.astype(float) ** 2)
-    ls = np.arange(-(n - 1), k)
-    v = np.exp(0.5j * theta * ls.astype(float) ** 2)
-    L = 1
-    while L < n + k - 1 + n - 1:
-        L *= 2
-    conv = np.fft.ifft(np.fft.fft(y, L) * np.fft.fft(v, L))[: n + k - 1]
-    core = conv[n - 1 : n - 1 + k]
-    return np.exp(-0.5j * theta * idx_k.astype(float) ** 2) * core
-
-
-def _uniform_spacing(xs: np.ndarray) -> float | None:
-    """Spacing if the grid is uniform to within a relative 1e-9, else None."""
-    if xs.size < 3:
-        return float(xs[1] - xs[0]) if xs.size == 2 else None
-    h = (float(xs[-1]) - float(xs[0])) / (xs.size - 1)
-    if h <= 0:
-        return None
-    ideal = float(xs[0]) + h * np.arange(xs.size)
-    if float(np.max(np.abs(xs - ideal))) <= 1e-9 * h:
-        return h
-    return None
+def _uniform_spacing(xs: np.ndarray) -> Tuple[float, float] | None:
+    """``(spacing, drift)`` if the grid is uniform to a relative 1e-9, else None."""
+    h = (float(xs[-1]) - float(xs[0])) / max(xs.size - 1, 1)
+    drift = float(np.max(np.abs(xs - (float(xs[0]) + h * np.arange(xs.size)))))
+    return (h, drift) if drift <= 1e-9 * abs(h) else None
 
 
 def fourier_eval_many(f: PLFunction, ps) -> Tuple[np.ndarray, CertUpper]:
     """Transform values at many frequencies, plus a shared error bound.
 
-    Uniform breakpoint and frequency grids take a chirp-Z fast path;
-    anything else falls back to chunked closed-form segment sums.
+    Up to ``_PAIR_CUT`` (frequency, segment) pairs the closed-form segment
+    sums run as one block.  Above it the frequencies must be a uniform grid
+    (else InvalidInput); chirp-Z sums over the node values and differences
+    give ``h (phi0(p h) E_v(p) + phi1(p h) E_dv(p))``, after breakpoints not
+    uniform to a relative 1e-9 are resampled at the spacing whose certified
+    error (added to ``l1_slack``) is 2**-10 of the input's ``l1_slack``, or
+    on ``_RESAMPLE_CAP`` nodes, with their larger error, if that is fewer.
+
+    The bound is the slack plus the rounding of the formula evaluated: per
+    segment ``L (|v| + |dv|)`` times 16 ulps for the moments, 8 for products,
+    phases and lengths, ``4 |p| max|x|`` for the phase arguments and ``S``
+    for the sum, doubled for the bound's own rounding; chirp-Z adds its sums'
+    error and the grids' drift (``2 drift_x sum|v|`` in L1, ``drift_p span``).
     """
     ps = np.asarray(ps, dtype=float)
-    xi = f.breakpoints[:-1]
-    Lseg = np.diff(f.breakpoints)
-    vi = f.values[:-1]
-    si = np.diff(f.values) / Lseg
-    body = float(np.sum((np.abs(f.values[:-1]) + np.abs(f.values[1:])) * 0.5 * Lseg))
-    out = None
-    grid_err = 0.0
-    if ps.size * xi.size > 1 << 22 and ps.size >= 2:
-        h = _uniform_spacing(f.breakpoints)
-        dp = _uniform_spacing(ps)
-        if h is not None and dp is not None:
-            # f_hat(p) = I0(p) E_v(p) + I1(p) E_s(p) with the node sums
-            # E_a(p_j) = exp(-i p_j x0) sum_i a'_i exp(-i dp h i j)
-            x0 = float(f.breakpoints[0])
-            base = np.exp(-1j * ps[0] * (x0 + h * np.arange(xi.size)))
-            ev = _czt(vi * base, ps.size, dp * h)
-            es = _czt(si * base, ps.size, dp * h)
-            I0, I1 = _segment_moments(np.full(1, h), ps)
-            out = np.exp(-1j * (ps - ps[0]) * x0) * (
-                I0[:, 0] * ev + I1[:, 0] * es
-            )
-            # positions were treated as exactly uniform; account the drift
-            ideal = x0 + h * np.arange(f.breakpoints.size)
-            dev = float(np.max(np.abs(f.breakpoints - ideal)))
-            grid_err = 2.0 * float(np.max(np.abs(ps))) * dev * (body + 1.0)
-    if out is None:
-        out = np.zeros(ps.size, dtype=complex)
-        pchunk = max(1, (1 << 21) // max(1, xi.size))
-        for lo in range(0, ps.size, pchunk):
-            hi = min(lo + pchunk, ps.size)
-            for slo in range(0, xi.size, _SEG_CHUNK):
-                shi = min(slo + _SEG_CHUNK, xi.size)
-                out[lo:hi] += _transform_chunk(
-                    xi[slo:shi], Lseg[slo:shi], vi[slo:shi], si[slo:shi], ps[lo:hi]
-                )
-    rnd = 64.0 * ULP * (xi.size + 8.0) * (body + 1e-300) + grid_err
-    err = cu_add(f.l1_slack, cu(_up(rnd)))
-    return out, err
+    S = f.breakpoints.size - 1
+    extra = phase_drift = 0.0
+    if ps.size * S <= _PAIR_CUT:
+        Lseg = np.diff(f.breakpoints)
+        phi0, phi1 = _segment_moments(np.multiply.outer(ps, Lseg))
+        phase = np.exp(-1j * np.multiply.outer(ps, f.breakpoints[:-1]))
+        out = (phase * Lseg * (f.values[:-1] * phi0 + np.diff(f.values) * phi1)).sum(axis=1)
+    else:
+        grid_p = _uniform_spacing(ps)
+        if grid_p is None:
+            raise InvalidInput("above %d pairs the frequencies must be a uniform grid" % _PAIR_CUT)
+        grid_x = _uniform_spacing(f.breakpoints)
+        if grid_x is None:
+            (lo, hi), sv = f.span(), _slope_variation(f)
+            h = math.sqrt(f.l1_slack.value / (256.0 * sv)) if sv else hi - lo
+            h = min(hi - lo, max(h, (hi - lo) / _RESAMPLE_CAP))
+            f, _ = _resample_uniform(f, h)
+            S, grid_x = f.breakpoints.size - 1, (h, 0.0)
+        (h, drift_x), (dp, drift_p) = grid_x, grid_p
+        x0 = float(f.breakpoints[0])
+        base = np.exp(-1j * ps[0] * (x0 + h * np.arange(S)))
+        ev, ev_err = _czt(f.values[:-1] * base, ps.size, dp * h)
+        es, es_err = _czt(np.diff(f.values) * base, ps.size, dp * h)
+        phi0, phi1 = _segment_moments(ps * h)
+        out = np.exp(-1j * (ps - ps[0]) * x0) * h * (phi0 * ev + phi1 * es)
+        extra = h * (ev_err + es_err) + 2.0 * drift_x * float(np.sum(np.abs(f.values)))
+        phase_drift = drift_p * S * h
+    bp, vals = f.breakpoints, f.values
+    weight = float(np.sum(np.diff(bp) * (np.abs(vals[:-1]) + np.abs(np.diff(vals)))))
+    pmax = float(np.max(np.abs(ps), initial=0.0))
+    xmax = max(abs(float(bp[0])), abs(float(bp[-1])))
+    rnd = weight * (2.0 * ULP * (S + 24.0 + 4.0 * pmax * xmax) + phase_drift) + extra + 1e-300
+    return out, cu_add(f.l1_slack, cu(_up(rnd)))
 
 
-def _segment_moments(Lseg: np.ndarray, ps: np.ndarray):
-    """Moments I0, I1 of ``exp(-i p u)`` over [0, L] per (p, segment)."""
-    L = Lseg[None, :]
-    q = -1j * ps[:, None]
-    qL = q * L
-    small = np.abs(qL) < 1e-4
-    qL_safe = np.where(small, 1.0, qL)
-    eqL = np.exp(qL)
-    I0 = np.where(
-        small,
-        L * (1.0 + qL / 2.0 + qL * qL / 6.0 + qL * qL * qL / 24.0),
-        (eqL - 1.0) / qL_safe * L,
-    )
-    I1 = np.where(
-        small,
-        L * L * (0.5 + qL / 3.0 + qL * qL / 8.0 + qL * qL * qL / 30.0),
-        L * L * (eqL * (qL - 1.0) + 1.0) / (qL_safe * qL_safe),
-    )
-    return I0, I1
+# Taylor coefficients of -Im phi1 / t in powers of -t**2 (to t**17, remainder < 1e-18)
+_IM_PHI1_SERIES = np.array([(k + 1) / math.factorial(k + 2) for k in range(1, 19, 2)])
+
+
+def _segment_moments(t: np.ndarray):
+    """``phi0 = I0 / L``, ``phi1 = I1 / L**2`` for the moments ``I0``, ``I1`` of
+    ``exp(-i p u)`` on [0, L] against 1 and ``u``, at ``t = p L``.
+
+    ``phi0 = sinc t - i t sinc(t/2)**2 / 2`` and ``Re phi1 = sinc t -
+    sinc(t/2)**2 / 2`` do not cancel; ``Im phi1 = (cos t - sinc t) / t``
+    does, so below ``|t| = 1`` it is a 9-term Taylor series.  Each part is
+    within 10 ulps (sinc 2.5 ulps absolute, Horner ``16 u sum |c_m|``, the
+    closed form 10 once divided by ``|t| >= 1``): each phi within 16 ulps.
+    """
+    a, b2 = np.sinc(t / math.pi), np.sinc(t / (2.0 * math.pi)) ** 2
+    small = np.abs(t) < 1.0
+    u, q = -t * t, np.full(t.shape, _IM_PHI1_SERIES[-1])
+    for c in _IM_PHI1_SERIES[-2::-1]:  # Horner, in place
+        q *= u
+        q += c
+    ts = np.where(small, 1.0, t)
+    phi0, phi1 = np.empty((2,) + t.shape, dtype=complex)
+    phi0.real, phi0.imag = a, -0.5 * t * b2
+    phi1.real = a - 0.5 * b2
+    phi1.imag = np.where(small, -t * q, (1.0 + 0.5 * u * b2 - a) / ts)
+    return phi0, phi1
 
 
 def fourier_eval(f: PLFunction, p: float) -> Tuple[complex, CertUpper]:
@@ -559,7 +558,7 @@ def tauberian_divide(
         xs = hx * np.arange(-nx, nx + 1)
         # both grids are uniform: sum_i w_i khat_i exp(i x_j p_i) by chirp-Z
         a = weights * khat * np.exp(1j * xs[0] * (ps - ps[0]))
-        kv = np.exp(1j * xs * ps[0]) * _czt(a, xs.size, -hx * dp)
+        kv = np.exp(1j * xs * ps[0]) * _czt(a, xs.size, -hx * dp)[0]
         kv[0] = 0.0
         kv[-1] = 0.0
         k = PLFunction(xs, kv)

@@ -219,6 +219,7 @@ def from_jsonable(obj: dict) -> L1ZSeq:
         coeffs = {}
         for entry in obj["coeffs"]:
             n = int(entry["n"])
+            float(n)  # an index beyond a float's range is an OverflowError here
             if n in coeffs:
                 raise InvalidInput("duplicate index %d" % n)
             coeffs[n] = complex(float(entry["re"]), float(entry["im"]))

@@ -38,8 +38,13 @@ def _report(num, ok, detail=""):
     assert ok, detail
 
 
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def _cli(args, env_extra=None):
+    # the subprocess imports the package from this checkout, like the tests
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

@@ -178,6 +178,8 @@ _INPUTS = {
     "far.json": l1z.dumps(L1ZSeq({0: 1.0, 2 ** 70: 1e-300})),
     "huge.json": l1z.dumps(L1ZSeq({0: 1e300, 1: 1e300})),
     "tail.json": '{"coeffs": [{"n": 0, "re": 1.0, "im": 0.0}], "tail": 1e400}',
+    "bigindex.json": '{"coeffs": [{"n": 0, "re": 1.0, "im": 0.0}, '
+                     '{"n": 1%s, "re": 0.5, "im": 0.0}], "tail": 0.0}' % ("0" * 399),
     "slack.json": l1r.dumps(l1r.triangle()).replace('"l1_slack": 0.0', '"l1_slack": 1e400'),
 }
 
@@ -207,6 +209,9 @@ _FAILURE_ROWS = [
      2, "hypothesis-failed"),
     (["invert", "--input", "far.json", "--epsilon", "0.5", "--target", "1e-6"],
      2, "not-certified"),
+    (["invert", "--input", "bigindex.json", "--epsilon", "0.3", "--target", "1e-8"],
+     3, "invalid-input"),
+    (["eval", "--input", "bigindex.json", "--re", "-1", "--im", "0"], 3, "invalid-input"),
     (["norm", "--input", "f.json", "--out", "missing/x.json"], 3, "invalid-input"),
     (["resolvent-demo", "--u", "u.json", "--radius", "2", "--steps", "16",
       "--trace", "missing/t.csv"], 3, "invalid-input"),

@@ -214,6 +214,32 @@ def test_fourier_triangle_oracle():
         assert abs(v - want) <= err.value + 1e-12
 
 
+def test_fourier_moments_sound_across_series_cutover():
+    # |p L| from 1e-6 to 10 on segments of length 1 and 10, across every
+    # series/closed-form cutover, against e^{-ipc} w sinc^2(p w / 2) at 200 bits
+    bad = []
+    with mpmath.workprec(200):
+        for c, w in ((1.0, 1.0), (10.0, 10.0)):
+            f = triangle(c, w)
+            for pl in np.logspace(-6.0, 1.0, 141):
+                p = float(pl / w)
+                v, err = l1r.fourier_eval(f, p)
+                mp_p = mpmath.mpf(p)
+                want = mpmath.expj(-mp_p * c) * w * mpmath.sinc(mp_p * w / 2) ** 2
+                if abs(mpc(v) - want) > err.value:
+                    bad.append((c, w, p, float(abs(mpc(v) - want) / err.value)))
+    assert not bad, "%d frequencies break the bound, worst %s" % (
+        len(bad), max(bad, key=lambda b: b[3]))
+    # the 16-ulp moment error the bound is built on, both signs of t
+    ts = np.concatenate([np.logspace(-6.0, 1.0, 141), [0.0, 1.0 - 2.0 ** -53]])
+    ts = np.concatenate([ts, -ts])
+    with mpmath.workprec(200):
+        for t, phi0, phi1 in zip(ts, *l1r._segment_moments(ts)):
+            z, ez = mpmath.mpc(0, -t), mpmath.expj(-t)
+            want0, want1 = ((ez - 1) / z, (ez * (z - 1) + 1) / z ** 2) if t else (1, 0.5)
+            assert max(abs(mpc(phi0) - want0), abs(mpc(phi1) - want1)) <= 16 * 2.0 ** -52
+
+
 def test_fourier_random_oracle(rng):
     for _ in range(5):
         f = random_pl(rng, nseg=4)
@@ -227,13 +253,28 @@ def test_fourier_fast_path_matches_generic():
     bp = np.linspace(-3.0, 3.0, n)
     vals = (np.sin(bp) * np.exp(-bp ** 2)).astype(complex)
     vals[0] = vals[-1] = 0.0
-    f = PLFunction(bp, vals)
-    ps = np.linspace(-2.0, 2.0, 3000)
-    fast, err_fast = l1r.fourier_eval_many(f, ps)  # above the fast-path cutoff
-    slow = np.concatenate(
-        [l1r.fourier_eval_many(f, ps[lo : lo + 500])[0] for lo in range(0, 3000, 500)]
-    )
-    assert float(np.max(np.abs(fast - slow))) <= err_fast.value
+    smooth = PLFunction(bp, vals)
+    kernel = l1r.fejer_kernel(1.0, 2e-3)  # non-uniform breakpoints, resampled
+    # the kernel on criterion 09's first frequency grid, linspace(-2 band, 2 band)
+    for f, ps in ((smooth, np.linspace(-2.0, 2.0, 3000)), (kernel, np.linspace(-1.0, 1.0, 6491))):
+        S = f.breakpoints.size - 1
+        assert ps.size * S > l1r._PAIR_CUT
+        fast, err_fast = l1r.fourier_eval_many(f, ps)  # chirp-Z, above the cut
+        step = l1r._PAIR_CUT // S
+        slices = [l1r.fourier_eval_many(f, ps[lo : lo + step]) for lo in range(0, ps.size, step)]
+        slow = np.concatenate([v for v, _ in slices])  # closed form, below the cut
+        assert float(np.max(np.abs(fast - slow))) <= err_fast.value
+        # both approximate the transform of the same piecewise-linear body
+        err_slow = max(e.value for _, e in slices)
+        gap = (err_fast.value - f.l1_slack.value) + (err_slow - f.l1_slack.value)
+        assert float(np.max(np.abs(fast - slow))) <= gap
+    # resampling costs at most 2**-9 of the slack beyond the former rounding term
+    mid = 0.5 * (np.abs(f.values[:-1]) + np.abs(f.values[1:]))
+    body = float(np.sum(mid * np.diff(f.breakpoints)))
+    former = 64.0 * 2.0 ** -52 * (S + 8.0) * body
+    assert f.l1_slack.value < err_fast.value <= f.l1_slack.value * (1 + 2.0 ** -9) + former
+    with pytest.raises(InvalidInput):
+        l1r.fourier_eval_many(smooth, np.sort(np.random.default_rng(0).uniform(-2.0, 2.0, 3000)))
 
 
 def test_transform_bounded_by_norm(rng):
