@@ -41,6 +41,40 @@ def mp_residual(f: L1ZSeq, w: L1ZSeq) -> mpmath.mpf:
     return mp_seq_norm(prod)
 
 
+def mp_segment_abs(va, vb) -> mpmath.mpf:
+    """128-bit closed form of ``int_0^1 |va + (vb - va) t| dt``.
+
+    With ``d = vb - va`` and ``s = t + Re(conj(va) d) / |d|^2`` the
+    integrand is ``|d| sqrt(s^2 + k^2)``, ``k = |Im(conj(va) d)| / |d|^2``,
+    whose antiderivative is ``(s sqrt(s^2 + k^2) + k^2 asinh(s / k)) / 2``.
+    For ``k = 0`` the values are collinear and the integrand is the real
+    ``|alpha + beta t|`` (``beta = |d| > 0``), split at its root.
+    """
+    va, vb = mpc(complex(va)), mpc(complex(vb))
+    d = vb - va
+    A = d.real ** 2 + d.imag ** 2
+    if A == 0:
+        return abs(va)
+    B = va.real * d.real + va.imag * d.imag
+    cross = va.real * d.imag - va.imag * d.real
+    if cross == 0:
+        beta = mpmath.sqrt(A)
+        alpha = B / beta
+
+        def F(t):  # antiderivative of the increasing alpha + beta t, F(0) = 0
+            return alpha * t + beta * t * t / 2
+
+        root = min(max(-alpha / beta, mpmath.mpf(0)), mpmath.mpf(1))
+        return F(1) - 2 * F(root)
+    k = abs(cross) / A
+
+    def H(s):
+        return (s * mpmath.sqrt(s * s + k * k) + k * k * mpmath.asinh(s / k)) / 2
+
+    s0 = B / A
+    return mpmath.sqrt(A) * (H(s0 + 1) - H(s0))
+
+
 def mp_fejer(lam, t) -> mpmath.mpf:
     """128-bit Fejer kernel ``K_lam(t) = (1 - cos lam t) / (pi lam t^2)``,
     whose transform is the hat on ``[-lam, lam]``."""

@@ -7,11 +7,17 @@ import numpy as np
 import pytest
 
 from wiener import l1r
-from wiener.certs import CU_ZERO, cu
+from wiener.certs import CU_ZERO, ULP, cu
 from wiener.errors import CertificationFailure, HypothesisFailure, InvalidInput
 from wiener.l1r import PLFunction, triangle
 
-from conftest import mp_fejer, mp_fejer_triangle, mp_fejer_triangle_distance, mpc
+from conftest import (
+    mp_fejer,
+    mp_fejer_triangle,
+    mp_fejer_triangle_distance,
+    mp_segment_abs,
+    mpc,
+)
 
 
 def random_pl(rng, nseg=6, span=4.0, scale=1.0):
@@ -21,40 +27,6 @@ def random_pl(rng, nseg=6, span=4.0, scale=1.0):
     vals = rng.normal(0, scale, nseg + 1) + 1j * rng.normal(0, scale, nseg + 1)
     vals[0] = vals[-1] = 0.0
     return PLFunction(bp, vals)
-
-
-def mp_segment_abs(va, vb) -> mpmath.mpf:
-    """128-bit closed form of ``int_0^1 |va + (vb - va) t| dt``.
-
-    With ``d = vb - va`` and ``s = t + Re(conj(va) d) / |d|^2`` the
-    integrand is ``|d| sqrt(s^2 + k^2)``, ``k = |Im(conj(va) d)| / |d|^2``,
-    whose antiderivative is ``(s sqrt(s^2 + k^2) + k^2 asinh(s / k)) / 2``.
-    For ``k = 0`` the values are collinear and the integrand is the real
-    ``|alpha + beta t|`` (``beta = |d| > 0``), split at its root.
-    """
-    va, vb = mpc(complex(va)), mpc(complex(vb))
-    d = vb - va
-    A = d.real ** 2 + d.imag ** 2
-    if A == 0:
-        return abs(va)
-    B = va.real * d.real + va.imag * d.imag
-    cross = va.real * d.imag - va.imag * d.real
-    if cross == 0:
-        beta = mpmath.sqrt(A)
-        alpha = B / beta
-
-        def F(t):  # antiderivative of the increasing alpha + beta t, F(0) = 0
-            return alpha * t + beta * t * t / 2
-
-        root = min(max(-alpha / beta, mpmath.mpf(0)), mpmath.mpf(1))
-        return F(1) - 2 * F(root)
-    k = abs(cross) / A
-
-    def H(s):
-        return (s * mpmath.sqrt(s * s + k * k) + k * k * mpmath.asinh(s / k)) / 2
-
-    s0 = B / A
-    return mpmath.sqrt(A) * (H(s0 + 1) - H(s0))
 
 
 def mp_norm_l1(f: PLFunction) -> mpmath.mpf:
@@ -115,17 +87,91 @@ def test_segment_abs_oracle_matches_quadrature():
         (0.25 - 1j, -0.25 + 1j, [0.5]),  # collinear, zero crossing at the midpoint
         (0.7 - 0.1j, 0.7 - 0.1j, []),  # d = 0
         (0j, 0j, []),
+        # passes 8.7e-4 from zero at t = 0.2136; unsplit quadrature reads 1.5e-7 high
+        (-0.101 - 0.268j, 0.368 + 0.988j, None),
     ]
-    for va, vb, kinks in segments:
-        a, b = mpc(va), mpc(vb)
-        want = mpmath.quad(lambda t: abs(a + (b - a) * t), [0] + kinks + [1])
-        assert abs(mp_segment_abs(va, vb) - want) <= mpmath.mpf(10) ** -30 * (1 + want)
+    with mpmath.workprec(256):
+        for va, vb, kinks in segments:
+            a, b = mpc(va), mpc(vb)
+            if kinks is None:  # split at the point nearest zero
+                kinks = [-(a.real * (b - a).real + a.imag * (b - a).imag) / abs(b - a) ** 2]
+            want = mpmath.quad(lambda t: abs(a + (b - a) * t), [0] + kinks + [1])
+            assert abs(mp_segment_abs(va, vb) - want) <= mpmath.mpf(10) ** -30 * (1 + want)
+
+
+def _pair_masses(va, vb):
+    """Masses of the unit-length segments from ``va[i]`` to ``vb[i]``."""
+    vals = np.zeros(3 * len(va) + 1, dtype=complex)
+    vals[1::3], vals[2::3] = va, vb
+    return l1r._segment_abs_masses(PLFunction(np.arange(vals.size, dtype=float), vals))[1::3]
+
+
+def test_segment_masses_within_kappa_of_exact():
+    # |mass - exact| <= KAPPA ulps of m0 + m1 (plus one subnormal rounding),
+    # so mass * (1 + 4 KAPPA ulps) covers the exact value (a mass is >= (m0 + m1) / 4)
+    kappa, sub = 16.0, mpmath.mpf(2) ** -1075
+    rng = np.random.default_rng(7)
+    n = 40
+
+    def c(scale=1.0):
+        return (rng.normal(size=n) + 1j * rng.normal(size=n)) * scale
+
+    a = c()
+    angle = 10.0 ** rng.uniform(-14, -2, n) * rng.choice([-1.0, 1.0], n)
+    nudge = 10.0 ** rng.uniform(-14, -1, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    tiny = 10.0 ** -rng.uniform(100, 161, n)
+    # a real part near 1 and imaginary parts 1e-150 to 1e-320 of it, some turned by 1j
+    flat = 10.0 ** -rng.uniform(150, 320, (2, n)) * rng.normal(size=(2, n))
+    turn = np.where(rng.uniform(size=n) < 0.5, 1j, 1.0)
+    edge = 2.0 ** -rng.uniform(45, 55, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    families = {
+        "generic": (a, c()),
+        "near-constant": (a, a * (1 + nudge)),
+        "near-constant, |d| / |a| near 2^-50": (a, a * (1 + edge)),
+        "near-constant perpendicular": ((a.real + 1j * flat[0]) * turn,
+                                        (a.real + 1j * flat[1]) * turn),
+        "collinear crossing": (a, -a * rng.uniform(0.1, 3.0, n)),
+        "nearly collinear crossing": (a, -a * rng.uniform(0.1, 3.0, n) * np.exp(1j * angle)),
+        "nearly collinear": (a, a * rng.uniform(0.1, 3.0, n) * np.exp(1j * angle)),
+        "crossing at angles 1e-100 to 1e-161": (a.real + 0j, -a.real * (1 + 1j * tiny)),
+        "d = 0": (a, a.copy()),
+        "all zero": (np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)),
+        "near 1e200": (c(1e200), c(1e200)),
+        "near 1e-300": (c(1e-300), c(1e-300)),
+        "subnormal": (np.array([0j, 0j, 3e-320j, 1e-315 - 2e-318j]),
+                      np.array([1e-310, 5e-324, -1e-321, 2e-316j])),
+    }
+    bad = []
+    for name, (va, vb) in families.items():
+        for x, y, mass in zip(va, vb, _pair_masses(va, vb)):
+            exact, mass = mp_segment_abs(x, y), mpmath.mpf(mass)
+            E = mpmath.mpf(abs(complex(x))) + mpmath.mpf(abs(complex(y)))
+            if not (abs(mass - exact) <= kappa * ULP * E + sub
+                    and mass * (1 + 4 * kappa * ULP) + sub >= exact):
+                bad.append((name, complex(x), complex(y)))
+    assert not bad, sorted({name for name, _, _ in bad})
 
 
 def test_norm_sound_oracle(rng):
     for _ in range(20):
         f = random_pl(rng)
         assert mpmath.mpf(l1r.norm_l1(f).value) >= mp_norm_l1(f)
+    # masses that round to zero or to a coarse subnormal
+    for vals in ([0, 5e-324, 0], [0, 1e-320, -3e-322j, 0], [0, 1e-310, 0]):
+        f = PLFunction(np.arange(len(vals), dtype=float), np.array(vals, dtype=complex))
+        assert mpmath.mpf(l1r.norm_l1(f).value) >= mp_norm_l1(f)
+    # a segment that turns by 1e-200 of its value, and lengths or values far
+    # from 1 whose products with each other land in, or near, the subnormal range
+    rows = [
+        ([0, 1, 2, 3], [0, 1, 1 + 1e-200j, 0]),
+        ([0, 1, 2, 3], [0, 0.7 + 1e-320j, 0.7 + 2e-320j, 0]),
+        ([0, 1e-310, 3e-310, 4e-310], [0, 1e300, 3e300 - 1e300j, 0]),
+        ([0, 1e-318, 2e-318], [0, 1.7e300, 0]),
+        ([0, 1e290, 3e290, 7e290], [0, 3e-323, 1e-322j, 0]),
+    ]
+    for bp, vals in rows:
+        f = PLFunction(np.array(bp, dtype=float), np.array(vals, dtype=complex))
+        assert mpmath.mpf(l1r.norm_l1(f).value) >= mp_norm_l1(f), vals
 
 
 def test_norm_is_reasonably_tight(rng):
@@ -137,8 +183,13 @@ def test_norm_is_reasonably_tight(rng):
 
 
 def test_translate_isometry(rng):
+    # breakpoints - 1.7 round, so the segment lengths, and the bounds, may differ
     f = random_pl(rng)
-    assert l1r.norm_l1(l1r.translate(f, 1.7)).value == l1r.norm_l1(f).value
+    g = l1r.translate(f, 1.7)
+    nf, ng = l1r.norm_l1(f).value, l1r.norm_l1(g).value
+    assert mpmath.mpf(nf) >= mp_norm_l1(f) and mpmath.mpf(ng) >= mp_norm_l1(g)
+    S = f.breakpoints.size - 1
+    assert abs(nf - ng) <= 2 * (l1r._MASS_TERMS * S + 8) * ULP * max(nf, ng)
 
 
 def test_scale_homogeneous():
@@ -291,6 +342,26 @@ def test_transform_lipschitz(rng):
     vals, err = l1r.fourier_eval_many(f, ps)
     dp = ps[1] - ps[0]
     assert float(np.max(np.abs(np.diff(vals)))) <= L * dp + 2 * err.value + 1e-12
+
+
+def test_transform_lipschitz_sound_oracle(rng):
+    def mp_weighted(f):  # 128-bit sum of max|x| times the exact segment mass
+        total = mpmath.mpf(0)
+        for i in range(f.breakpoints.size - 1):
+            a, b = mpmath.mpf(f.breakpoints[i]), mpmath.mpf(f.breakpoints[i + 1])
+            total += mp_segment_abs(f.values[i], f.values[i + 1]) * (b - a) * max(abs(a), abs(b))
+        return total
+
+    fns = [random_pl(rng) for _ in range(10)]
+    # masses in the subnormal range, far from the origin or on tiny lengths
+    for bp, vals in (
+        ([1e20, 1e20 + 3 * 2.0 ** 14, 1e20 + 7 * 2.0 ** 14], [0, 3e-323, 0]),
+        ([0, 1e-310, 3e-310, 4e-310], [0, 1e300, 3e300 - 1e300j, 0]),
+        ([-2, 0, 1, 2], [0, 1e-320, 7e-321j, 0]),
+    ):
+        fns.append(PLFunction(np.array(bp, dtype=float), np.array(vals, dtype=complex)))
+    for f in fns:
+        assert mpmath.mpf(l1r.transform_lipschitz_upper(f).value) >= mp_weighted(f)
 
 
 def test_riemann_lebesgue_desk_scale():
