@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Tuple
 
 from . import l1z
-from .certs import CU_ZERO, CertUpper, cu, cu_add, cu_mul, cu_sum, _up
+from .certs import CU_ZERO, CertUpper, cu, cu_add, cu_mul, _up
 from .errors import HypothesisFailure, InvalidInput, ToleranceUnreachable
 from .l1z import L1ZSeq, delta, norm_upper
 
@@ -84,12 +84,6 @@ def lipschitz_curve(value: Callable[[float], L1ZSeq], lip: float) -> BanachCurve
     return BanachCurve(value, lambda d: cu_mul(lip_cu, cu(_up(abs(d)))))
 
 
-def _accumulate(dst: Dict[int, complex], a: L1ZSeq, w: float) -> CertUpper:
-    for n, c in a.coeffs.items():
-        dst[n] = dst.get(n, 0j) + w * c
-    return cu_mul(cu(_up(abs(w))), a.tail)
-
-
 def integrate(
     curve: BanachCurve,
     a: float,
@@ -108,6 +102,8 @@ def integrate(
         raise InvalidInput("integration bounds must satisfy a <= b")
     if panels is not None and panels < 1:
         raise InvalidInput("panels must be at least 1")
+    if panels is not None and panels > _PANEL_CAP:
+        raise InvalidInput("panels must be at most %d" % _PANEL_CAP)
     if b == a:
         return l1z.zero(), CU_ZERO
     width = b - a
@@ -120,16 +116,12 @@ def integrate(
             if panels > _PANEL_CAP:
                 raise ToleranceUnreachable("tolerance unreachable")
     h = width / panels
-    acc: Dict[int, complex] = {}
-    tail = CU_ZERO
-    for i in range(panels):
-        mid = a + (i + 0.5) * h
-        tail = cu_add(tail, _accumulate(acc, curve.value(mid), h))
+    value = l1z.weighted_sum((curve.value(a + (i + 0.5) * h) for i in range(panels)), h)
     err = _quad_err(curve.modulus, width, panels)
     # roundoff of the panel accumulation, folded into the bound
+    acc = value.coeffs
     coeff_mass = sum(abs(c) for c in acc.values())
     err = cu_add(err, cu(_up((panels + len(acc) + 4) * 2.0 ** -52 * (coeff_mass + 1.0))))
-    value = L1ZSeq(acc, tail)
     if tol is not None and err.value > tol and panels >= _PANEL_CAP:
         raise ToleranceUnreachable("tolerance unreachable")
     return value, err
@@ -144,25 +136,7 @@ def banach_exp(a: L1ZSeq, tol: float) -> L1ZSeq:
     """Power-series exponential with the remainder certified into the tail."""
     if not tol > 0.0:
         raise InvalidInput("tol must be positive")
-    na = norm_upper(a).value
-    # remainder past K is term_{K+1} / (1 - na/(K+2)) once K + 2 > na
-    K = 0
-    term_bound = _up(na)  # ||a||^(K+1) / (K+1)! at K = 0 is ||a||
-    while True:
-        if K + 2 > na:
-            rem = _up(term_bound / (1.0 - na / (K + 2)))
-            if rem <= tol:
-                break
-        K += 1
-        term_bound = _up(term_bound * na / (K + 1))
-        if K > 5000:
-            raise ToleranceUnreachable("exponential remainder does not shrink")
-    acc = delta(0)
-    term = delta(0)
-    for n in range(1, K + 1):
-        term = l1z.scale(1.0 / n, l1z.convolve(term, a))
-        acc = l1z.add(acc, term)
-    return L1ZSeq(acc.coeffs, cu_add(acc.tail, cu(rem)))
+    return l1z.power_series(delta(0), a, lambda k: 1.0 / k, tol, 5000)[0]
 
 
 def exp_flow_check(a: L1ZSeq, x: float, y: float, tol: float) -> CertUpper:
@@ -251,28 +225,8 @@ def resolvent_eval(u: L1ZSeq, z: complex, tol: float) -> L1ZSeq:
             "outside convergence region",
             report={"abs_z": az, "norm_bound": nu},
         )
-    ratio = _up(nu / az)
-    gap = az - nu  # lower bound: nu is upper-rounded
-    K = 0
-    # remainder after K terms: (nu/|z|)^(K+1) / (|z| - nu)
-    rem = _up(ratio / gap)
-    while rem > tol:
-        K += 1
-        rem = _up(rem * ratio)
-        if K > 100_000:
-            raise ToleranceUnreachable("resolvent remainder does not shrink")
-    acc: Dict[int, complex] = {}
-    tails = []
-    term = delta(0, 1.0 / z)
-    for n in range(K + 1):
-        if n > 0:
-            term = l1z.scale(1.0 / z, l1z.convolve(term, u))
-        for m, c in term.coeffs.items():
-            acc[m] = acc.get(m, 0j) + c
-        tails.append(term.tail)
-    # the terms carry the tail of u; a tail-free u keeps the bare remainder
-    carried = cu_sum(tails)
-    return L1ZSeq(acc, cu_add(carried, cu(rem)) if carried.value else cu(rem))
+    w = 1.0 / z
+    return l1z.power_series(delta(0, w), u, lambda k: w, tol, 100_000)[0]
 
 
 def resolvent_map(u: L1ZSeq, radius: float, tol: float) -> CurveMap:

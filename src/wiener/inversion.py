@@ -75,30 +75,11 @@ def neumann_invert(x: L1ZSeq, target: float) -> Tuple[L1ZSeq, InversionCertifica
             "Neumann hypothesis fails: ||1 - x|| >= 1",
             report={"rho": rho.value},
         )
-    r = rho.value
-    one_minus = 1.0 - r  # lower bound: both operands are upper-rounded
-    # smallest K with r^(K+1)/(1-r) <= target, computed with upward slack
-    K = 0
-    pw = _up(r)
-    while _up(pw / one_minus) > target:
-        K += 1
-        pw = _up(pw * r)
-        if K > 10_000:
-            raise CertificationFailure(
-                "geometric remainder does not reach target",
-                report={"rho": r, "target": target},
-            )
-    acc = delta(0)
-    term = delta(0)
-    for _ in range(K):
-        term = convolve(term, y)
-        acc = l1z.add(acc, term)
-    remainder = cu(_up(pw / one_minus))
-    inverse = L1ZSeq(acc.coeffs, cu_add(acc.tail, remainder))
+    inverse, terms = l1z.power_series(delta(0), y, lambda k: 1.0, target, 10_000)
     cert = InversionCertificate(
         witness=inverse,
         residual=residual_norm(x, inverse),
-        params={"method": "neumann", "terms": K + 1, "target": target},
+        params={"method": "neumann", "terms": terms, "target": target},
     )
     return inverse, cert
 
@@ -198,11 +179,11 @@ def circle_min_modulus_certify(
     """Try to prove ``|f(lam)| >= eps`` on the whole unit circle.
 
     Grid plus Lipschitz (``certify_min_modulus``) on roots of unity, the
-    grid doubling from ``N`` up to 2**20.  ``True`` is a proof; ``False``
-    comes with the last grid's report.
+    grid doubling from ``N`` up to ``_GRID_CAP``; a larger ``N`` is invalid
+    input.  ``True`` is a proof; ``False`` comes with the last grid's report.
     """
-    if N < 8:
-        raise InvalidInput("grid size must be at least 8")
+    if not 8 <= N <= _GRID_CAP:
+        raise InvalidInput("grid size must lie in [8, %d]" % _GRID_CAP)
     if not eps > 0.0:
         raise InvalidInput("eps must be positive")
     L = l1z.circle_lipschitz_upper(L1ZSeq(f.coeffs)).value
@@ -233,6 +214,7 @@ def wiener_invert(
         )
 
     g = l1z.truncate(f, eps / 8.0) if len(f.coeffs) > 2048 else f
+    sample = _circle_sampler(g)
     lo, hi = g.support()
     deg = max(abs(lo), abs(hi), 1)
 
@@ -246,19 +228,10 @@ def wiener_invert(
                 "inversion not certified",
                 report={"best_rho": best_rho, "grid": report["N"], "degree": M},
             )
-        samples = np.zeros(M, dtype=complex)
-        ks = np.arange(M)
-        for n, c in sorted(g.coeffs.items()):
-            samples += c * np.exp((2j * math.pi * n / M) * ks)
-        recip = 1.0 / samples
-        coeff = np.fft.fft(recip) / M
-        h_coeffs: Dict[int, complex] = {}
-        for j in range(M):
-            n = j if j <= M // 2 else j - M
-            c = complex(coeff[j])
-            if abs(c) > 1e-300:
-                h_coeffs[n] = c
-        h = l1z.truncate(L1ZSeq(h_coeffs), target / 8.0)
+        coeff = np.fft.fft(1.0 / sample(M)[1]) / M
+        j = np.flatnonzero(np.abs(coeff) > 1e-300)
+        n = np.where(j <= M // 2, j, j - M)
+        h = l1z.truncate(L1ZSeq(dict(zip(n.tolist(), coeff[j].tolist()))), target / 8.0)
         rho = residual_norm(f, h)
         if rho.value < 1.0:
             break

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Callable, Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -19,13 +19,16 @@ from .certs import (
     CU_ZERO,
     ULP,
     CertUpper,
+    _up,
+    cu,
     cu_abs,
     cu_add,
     cu_cross,
     cu_mul,
+    cu_sum,
     cu_sum_abs,
 )
-from .errors import BoundOverflow, InvalidInput
+from .errors import BoundOverflow, InvalidInput, ToleranceUnreachable
 
 # dense numpy convolution pays off once the double loop gets this big
 _DENSE_CONV_THRESHOLD = 10_000
@@ -44,10 +47,8 @@ class L1ZSeq:
         clean = {}
         for n, c in self.coeffs.items():
             c = complex(c)
-            if math.isnan(c.real) or math.isnan(c.imag):
-                raise InvalidInput("NaN coefficient")
             if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise InvalidInput("non-finite coefficient")
+                raise InvalidInput("NaN coefficient" if c != c else "non-finite coefficient")
             if c != 0:
                 clean[int(n)] = c
         object.__setattr__(self, "coeffs", clean)
@@ -127,6 +128,71 @@ def convolve(a: L1ZSeq, b: L1ZSeq) -> L1ZSeq:
     base = lo_a + lo_b
     out = {base + k: complex(v) for k, v in enumerate(vc) if v != 0}
     return L1ZSeq(out, tail)
+
+
+def weighted_sum(
+    parts: Iterable[L1ZSeq], w: float = 1.0, extra: CertUpper = CU_ZERO
+) -> L1ZSeq:
+    """``w`` times the sum of ``parts``, accumulated into one element.
+
+    The tail is ``|w|`` times the parts' tails plus ``extra``; ``w`` is a
+    real double, so ``|w|`` is exact.
+    """
+    acc: Dict[int, complex] = {}
+    tails = []
+    for a in parts:
+        for n, c in a.coeffs.items():
+            acc[n] = acc.get(n, 0j) + w * c
+        if a.tail.value:
+            tails.append(a.tail)
+    return L1ZSeq(acc, cu_add(cu_mul(cu(abs(w)), cu_sum(tails)), extra))
+
+
+def _series_cut(
+    t0: float, ny: float, step: Callable[[int], complex], tol: float, cap: int
+) -> Tuple[int, float]:
+    """Least ``K`` with ``T_(K+1) / (1 - q) <= tol``, and that remainder bound.
+
+    ``T_0 = t0`` and ``T_k = |step(k)| ny T_(k-1)`` bound the term norms;
+    ``q = |step(K+2)| ny`` bounds every later ratio when ``|step|`` does
+    not increase, so the terms past ``K`` sum to at most ``T_(K+1) / (1 - q)``.
+    """
+    bound = t0
+    for K in range(cap + 1):
+        bound = _up(bound * ny * abs(step(K + 1)))  # T_(K+1)
+        if bound <= tol:  # else the remainder, at least T_(K+1), is too
+            q = _up(ny * abs(step(K + 2)))
+            if q < 1.0:
+                rem = _up(bound / (1.0 - q))
+                if rem <= tol:
+                    return K, rem
+    raise ToleranceUnreachable("series remainder does not reach tol")
+
+
+def power_series(
+    first: L1ZSeq,
+    y: L1ZSeq,
+    step: Callable[[int], complex],
+    tol: float,
+    cap: int,
+) -> Tuple[L1ZSeq, int]:
+    """Truncated series ``sum t_k``, ``t_0 = first``, ``t_k = step(k) (t_(k-1) * y)``.
+
+    ``|step(k)|`` must not increase with ``k``.  The series is cut at the
+    least ``K <= cap`` whose certified remainder is at most ``tol``
+    (``_series_cut``); that remainder and the terms' tails go into the
+    tail of the result.  Returns the result and the term count ``K + 1``.
+    """
+    K, rem = _series_cut(norm_upper(first).value, norm_upper(y).value, step, tol, cap)
+
+    def terms():
+        t = first
+        yield t
+        for k in range(1, K + 1):
+            t = scale(step(k), convolve(t, y))
+            yield t
+
+    return weighted_sum(terms(), extra=cu(rem)), K + 1
 
 
 def norm_upper(a: L1ZSeq) -> CertUpper:

@@ -6,7 +6,7 @@ import math
 import mpmath
 import pytest
 
-from wiener import calculus, l1z
+from wiener import calculus, inversion, l1z
 from wiener.calculus import (
     BanachCurve,
     circle_loop,
@@ -76,6 +76,16 @@ def test_integrate_validates():
             calculus.integrate(curve, 0.0, 1.0, panels=panels)
     value, err = calculus.integrate(curve, 1.0, 1.0, panels=2)
     assert value == l1z.zero() and err.value == 0.0
+
+
+def test_integrate_rejects_panels_above_cap():
+    def never(t):
+        raise AssertionError("a panel past the cap was evaluated")
+
+    curve = BanachCurve(never, lambda d: cu(0.0))
+    for panels in (calculus._PANEL_CAP + 1, 10 ** 10):
+        with pytest.raises(InvalidInput):
+            calculus.integrate(curve, 0.0, 1.0, panels=panels)
 
 
 def test_integrate_unreachable_tolerance():
@@ -173,3 +183,114 @@ def test_mean_value_bound_check():
     assert calculus.mean_value_bound_check(curve, cu(1.0), 0.0, 1.0)
     fast = scalar_curve(lambda t: 10.0 * t, lip=10.0)
     assert not calculus.mean_value_bound_check(fast, cu(1.0), 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the shared power series: remainder rule at its cutovers
+#
+# On a shift ``delta(1, c)`` the k-th term sits alone at index k, so the
+# top index of the result is the cut ``K`` and the dropped terms' norms
+# are known exactly.
+
+
+def _exp_dropped(c, K):
+    c = abs(mpc(complex(c)))
+    return mpmath.exp(c) - mpmath.fsum(c ** k / mpmath.factorial(k) for k in range(K + 1))
+
+
+def _geometric_dropped(c, z, K):
+    q = abs(mpc(complex(c))) / abs(mpc(complex(z)))
+    return q ** (K + 1) / (1 - q) / abs(mpc(complex(z)))
+
+
+def _series_cases(c, z, r):
+    """Per series: name, run(tol), exact dropped mass past K, ``power_series`` inputs."""
+
+    def neumann(tol):
+        inv, cert = inversion.neumann_invert(l1z.sub(delta(0), delta(1, r)), tol)
+        assert cert.params["terms"] == max(inv.coeffs) + 1
+        return inv
+
+    w = 1.0 / complex(z)
+    return [
+        ("exp", lambda tol: calculus.banach_exp(delta(1, c), tol),
+         lambda K: _exp_dropped(c, K), (delta(0), delta(1, c), lambda k: 1.0 / k, 5000)),
+        ("resolvent", lambda tol: calculus.resolvent_eval(delta(1, c), z, tol),
+         lambda K: _geometric_dropped(c, z, K), (delta(0, w), delta(1, c), lambda k: w, 100_000)),
+        ("neumann", neumann, lambda K: _geometric_dropped(r, 1.0, K),
+         (delta(0), delta(1, r), lambda k: 1.0, 10_000)),
+    ]
+
+
+def _check_cut(result, tol, dropped):
+    K = max(result.coeffs)
+    assert set(result.coeffs) == set(range(K + 1))
+    assert mpmath.mpf(result.tail.value) >= dropped(K)
+    assert result.tail.value <= tol * (1.0 + 1e-15)
+    return K
+
+
+@pytest.mark.parametrize("c", [2.0, 3.0, -4.5j, 5.5])
+def test_exp_remainder_held_open_below_norm(c):
+    # q = ||a|| / (K + 2) must drop below one before any cut: at K = 0 and
+    # c = 5.5, T_1 = 5.5 is far below tol = 100 but the dropped mass is 243
+    for tol in (100.0, 10.0, 1.0, 1e-3, 1e-9):
+        K = _check_cut(calculus.banach_exp(delta(1, c), tol), tol, lambda K: _exp_dropped(c, K))
+        assert K + 2 > abs(c)
+
+
+def test_series_remainder_ratio_near_one():
+    # |c| / |z| and r within 1e-3 of 1: thousands of terms before the cut
+    c, z, r = 0.9991, 1j, 0.9991
+    for name, run, dropped, _ in _series_cases(c, z, r):
+        if name == "exp":
+            continue
+        tol = 0.1 if name == "resolvent" else 0.25
+        K = _check_cut(run(tol), tol, dropped)
+        assert K > 5000
+
+
+def test_series_remainder_tol_at_computed_bound():
+    # tol equal to the certified remainder at some K cuts exactly there;
+    # one ulp below it the cut moves on by one term
+    for name, run, dropped, (first, y, step, cap) in _series_cases(0.7, 1.5j, 0.6):
+        t0, ny = l1z.norm_upper(first).value, l1z.norm_upper(y).value
+        for start in (1e-2, 1e-7, 1e-12):
+            K, rem = l1z._series_cut(t0, ny, step, start, cap)
+            assert _check_cut(run(rem), rem, dropped) == K
+            below = math.nextafter(rem, 0.0)
+            assert _check_cut(run(below), below, dropped) == K + 1
+
+
+def test_neumann_cap_raises_tolerance_unreachable():
+    # ||1 - x|| = 0.9999 needs about 3e5 terms for 1e-12, past the cap
+    with pytest.raises(ToleranceUnreachable):
+        inversion.neumann_invert(l1z.sub(delta(0), delta(1, 0.9999)), 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# far-apart supports go through the sparse convolution path
+
+_FAR = [
+    (L1ZSeq({0: 1.0, 2 ** 70: 1e-300}), 2 ** 70, 1.0, 1e-300, 2.0),
+    (delta(10 ** 6, 0.5), 10 ** 6, 0.0, 0.5, 0.75j),
+]
+
+
+@pytest.mark.parametrize("u, far, alpha, beta, z", _FAR, ids=["2**70", "10**6"])
+def test_far_support_series_match_oracle(u, far, alpha, beta, z):
+    # u = alpha + beta S with S the shift by `far`: exp(u) has coefficient
+    # e^alpha beta^m / m! at m * far, and (z - u)^-1 has beta^m / (z - alpha)^(m+1).
+    # Coefficient rounding is not in the tails yet (ROADMAP item 1), so the
+    # check is per coefficient rather than in the one-norm.
+    a, b, zz = mpmath.mpf(alpha), mpmath.mpf(beta), mpc(complex(z))
+    oracles = [
+        (calculus.banach_exp(u, 1e-9),
+         lambda m: mpmath.exp(a) * b ** m / mpmath.factorial(m)),
+        (calculus.resolvent_eval(u, z, 1e-9), lambda m: b ** m / (zz - a) ** (m + 1)),
+    ]
+    for result, exact in oracles:
+        assert result.coeffs and all(n % far == 0 and n >= 0 for n in result.coeffs)
+        tail = mpmath.mpf(result.tail.value)
+        for m in range(200):
+            assert abs(mpc(result.coeffs.get(m * far, 0j)) - exact(m)) <= tail

@@ -189,6 +189,8 @@ _FAILURE_ROWS = [
     (["resolvent-demo", "--u", "u.json", "--radius", "2", "--tol", "0"], 3, "invalid-input"),
     (["invert", "--input", "f.json", "--epsilon", "0.3", "--target", "1e-8", "--grid", "4"],
      3, "invalid-input"),
+    (["invert", "--input", "f.json", "--epsilon", "0.3", "--target", "1e-8",
+      "--grid", "1125899906842624"], 3, "invalid-input"),
     (["invert", "--input", "f.json", "--epsilon", "nan", "--target", "1e-8"], 3, "invalid-input"),
     (["invert", "--input", "f.json", "--epsilon", "0.3", "--target", "0"], 3, "invalid-input"),
     (["tauberian", "--f", "tri.json", "--g", "tri.json", "--band", "nan", "--epsilon", "0.1",
@@ -199,6 +201,8 @@ _FAILURE_ROWS = [
     (["norm", "--input", "f.json", "--kind", "bogus"], 3, "invalid-input"),
     (["resolvent-demo", "--u", "u.json", "--radius", "2", "--steps", "0"], 3, "invalid-input"),
     (["resolvent-demo", "--u", "u.json", "--radius", "2", "--steps", "-3"], 3, "invalid-input"),
+    (["resolvent-demo", "--u", "u.json", "--radius", "2", "--steps", "10000000000"],
+     3, "invalid-input"),
     (["resolvent-demo", "--u", "u.json", "--radius", "nan"], 3, "invalid-input"),
     (["resolvent-demo", "--u", "u.json", "--radius", "inf"], 3, "invalid-input"),
     (["eval", "--input", "f.json", "--re", "nan"], 3, "invalid-input"),
@@ -247,6 +251,17 @@ def test_failure_contract(tmp_path, monkeypatch, capsys, args, code, status):
     for arg in args:
         if arg.startswith("missing/"):
             assert arg in doc["log"][0]
+
+
+def test_exp_far_apart_support_ok(tmp_path, monkeypatch, capsys):
+    # indices 0 and 2**70 stay on the sparse path: no span-sized array
+    (tmp_path / "far.json").write_text(_INPUTS["far.json"])
+    monkeypatch.chdir(tmp_path)
+    got, out, err = _run_cli(monkeypatch, capsys, ["exp", "--input", "far.json"])
+    assert (got, err) == (0, "")
+    doc = json.loads(out, parse_constant=_strict)
+    assert doc["status"] == "ok"
+    assert [c["n"] for c in doc["payload"]["coeffs"]] == [0, 2 ** 70]
 
 
 def test_failure_envelope_goes_to_out(tmp_path, monkeypatch, capsys):

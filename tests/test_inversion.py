@@ -87,6 +87,10 @@ def test_circle_certify_validates_input():
         inversion.circle_min_modulus_certify(delta(0), 0.5, 4)
     with pytest.raises(InvalidInput):
         inversion.circle_min_modulus_certify(delta(0), -1.0, 64)
+    # a start grid above the cap is not silently sampled in full
+    for N in (2 * inversion._GRID_CAP, 2 ** 50):
+        with pytest.raises(InvalidInput):
+            inversion.circle_min_modulus_certify(delta(0), 0.5, N)
 
 
 def test_wiener_invert_geometric():
@@ -108,6 +112,34 @@ def test_wiener_invert_randomized_sound(rng):
         inv, cert = inversion.wiener_invert(f, 0.5, 1e-8)
         assert cert.residual.value <= 1e-8
         assert mp_residual(f, inv) <= mpmath.mpf(cert.residual.value)
+
+
+@pytest.mark.parametrize(
+    "coeffs", [{0: 1.0, 1: 0.5, -3: 0.125}, {0: 2.0}, {0: 1.0, 40: -0.25j, -7: 0.3}]
+)
+def test_candidate_readoff_matches_loop(monkeypatch, coeffs):
+    # the candidate handed to Newton is the loop read-off of the same samples
+    f, target = L1ZSeq(coeffs), 1e-8
+    seeds = []
+    refine = inversion.newton_refine
+
+    def spy(f, x0, target):
+        seeds.append(x0)
+        return refine(f, x0, target)
+
+    monkeypatch.setattr(inversion, "newton_refine", spy)
+    _, cert = inversion.wiener_invert(f, 0.2, target)
+    M = cert.params["degree"]
+    coeff = np.fft.fft(1.0 / inversion._circle_sampler(f)(M)[1]) / M
+    loop = {}
+    for j in range(M):
+        n = j if j <= M // 2 else j - M
+        c = complex(coeff[j])
+        if abs(c) > 1e-300:
+            loop[n] = c
+    want = l1z.truncate(L1ZSeq(loop), target / 8.0)
+    assert len(seeds) == 1
+    assert l1z.dumps(seeds[0]) == l1z.dumps(want)
 
 
 def test_wiener_invert_hypothesis_failure():
