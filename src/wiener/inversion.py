@@ -1,9 +1,10 @@
 """Invertibility machinery for the sequence algebra.
 
 Contains the geometric-series inverse, the perturbation bound for
-inverses, quadratic residual refinement, grid certification of a minimum
-modulus on the unit circle, the full inversion pipeline (reciprocal
-sampling + refinement + certificate), and quotient-norm witnesses.
+inverses, grid certification of a minimum modulus on the unit circle,
+the full inversion pipeline (reciprocal sampling at a doubling degree
+until the certified residual meets the target), and quotient-norm
+witnesses.
 
 A returned :class:`InversionCertificate` is self-checking: its residual
 is recomputable from the input and the witness alone, and a residual
@@ -55,8 +56,7 @@ def _conv_roundoff(a: L1ZSeq, b: L1ZSeq) -> CertUpper:
 
 def residual_norm(f: L1ZSeq, witness: L1ZSeq) -> CertUpper:
     """Certified ``||unit - f * witness||_1``; the certificate's content."""
-    base = norm_upper(sub(delta(0), convolve(f, witness)))
-    return cu_add(base, _conv_roundoff(f, witness))
+    return quotient_norm_upper(delta(0), f, witness)
 
 
 def neumann_invert(x: L1ZSeq, target: float) -> Tuple[L1ZSeq, InversionCertificate]:
@@ -100,51 +100,6 @@ def perturb_invert_bound(M: CertUpper, u_norm: CertUpper, c: float) -> CertUpper
             report={"u_norm": u_norm.value, "allowed": c / M.value},
         )
     return cu_div(M, 1.0 - c)
-
-
-def newton_refine(
-    f: L1ZSeq,
-    x0: L1ZSeq,
-    target: float,
-    max_iter: int = 40,
-) -> Tuple[L1ZSeq, InversionCertificate]:
-    """Quadratic refinement ``x <- x * (2 - f*x)`` with certified residual.
-
-    The iterate is a concrete finite element: each step truncates it to
-    keep the support bounded and discards the dropped mass (any witness
-    is admissible; the certificate is the recomputed residual of the
-    finite witness itself).  The truncation budget is scaled by the norm
-    of ``f`` and shrinks per step so it never floors the residual above
-    ``target``.
-    """
-    if not target > 0.0:
-        raise InvalidInput("target must be positive")
-    x0 = L1ZSeq(dict(x0.coeffs))
-    rho = residual_norm(f, x0)
-    if rho.value >= 1.0:
-        raise HypothesisFailure(
-            "seed not contracting", report={"rho": rho.value}
-        )
-    nf = norm_upper(f).value
-    x = x0
-    for k in range(max_iter):
-        if rho.value <= target:
-            break
-        two = delta(0, 2.0)
-        x = convolve(x, sub(two, convolve(f, x)))
-        budget = target / (8.0 * (1.0 + nf) * (2.0 ** min(k, 60)))
-        x = L1ZSeq(dict(l1z.truncate(x, budget).coeffs))
-        rho = residual_norm(f, x)
-    else:
-        raise CertificationFailure(
-            "did not converge", report={"rho": rho.value, "target": target}
-        )
-    cert = InversionCertificate(
-        witness=x,
-        residual=rho,
-        params={"method": "newton", "target": target, "max_iter": max_iter},
-    )
-    return x, cert
 
 
 def _circle_sampler(f: L1ZSeq):
@@ -199,10 +154,17 @@ def wiener_invert(
 ) -> Tuple[L1ZSeq, InversionCertificate]:
     """Certified inverse of a series bounded away from zero on the circle.
 
-    Pipeline: certify the minimum modulus on a doubling grid, sample the
-    reciprocal of the truncated symbol at roots of unity, read a
-    candidate off the inverse transform, certify a contracting residual,
-    then refine quadratically down to ``target``.
+    Pipeline: certify the minimum modulus on a doubling grid, then sample
+    the reciprocal of the symbol at ``M`` roots of unity, read the witness
+    off the inverse transform and certify its residual, doubling ``M`` up
+    to ``_GRID_CAP`` until the residual is at most ``target``.  Once the
+    residual is below one, a doubling that does not halve it has reached
+    the floating floor and ends the search.
+
+    With ``budget = target / (8 (1 + ||f||))`` the read-off skips the (at
+    most ``M``) coefficients below ``budget / M``, then truncates within
+    ``budget`` and keeps the finite element that is left: dropping at most
+    ``2 budget`` moves the residual by under ``target / 4``.
     """
     if not target > 0.0:
         raise InvalidInput("target must be positive")
@@ -213,34 +175,32 @@ def wiener_invert(
             report=report,
         )
 
-    g = l1z.truncate(f, eps / 8.0) if len(f.coeffs) > 2048 else f
-    sample = _circle_sampler(g)
-    lo, hi = g.support()
-    deg = max(abs(lo), abs(hi), 1)
-
+    sample = _circle_sampler(f)
+    lo, hi = f.support()
+    budget = target / (8.0 * (1.0 + norm_upper(f).value))
     M = 64
-    while M < 2 * deg + 1:
+    while M < 2 * max(abs(lo), abs(hi), 1) + 1:
         M *= 2
     best_rho = math.inf
-    while True:
-        if M > _GRID_CAP:
-            raise CertificationFailure(
-                "inversion not certified",
-                report={"best_rho": best_rho, "grid": report["N"], "degree": M},
-            )
+    while M <= _GRID_CAP:
         coeff = np.fft.fft(1.0 / sample(M)[1]) / M
-        j = np.flatnonzero(np.abs(coeff) > 1e-300)
+        j = np.flatnonzero(np.abs(coeff) > budget / M)
         n = np.where(j <= M // 2, j, j - M)
-        h = l1z.truncate(L1ZSeq(dict(zip(n.tolist(), coeff[j].tolist()))), target / 8.0)
+        h = l1z.truncate(L1ZSeq(dict(zip(n.tolist(), coeff[j].tolist()))), budget)
+        h = L1ZSeq(h.coeffs)
         rho = residual_norm(f, h)
-        if rho.value < 1.0:
-            break
+        if rho.value <= target:
+            params = {"grid": report["N"], "degree": M, "target": target, "eps": eps}
+            return h, InversionCertificate(h, rho, params)
+        floor = best_rho < 1.0 and rho.value > best_rho / 2.0
         best_rho = min(best_rho, rho.value)
+        if floor:
+            break
         M *= 2
-    inverse, cert = newton_refine(f, h, target)
-    params = dict(cert.params)
-    params.update({"grid": report["N"], "degree": M, "target": target, "eps": eps})
-    return inverse, InversionCertificate(inverse, cert.residual, params)
+    raise CertificationFailure(
+        "inversion not certified",
+        report={"best_rho": best_rho, "grid": report["N"], "degree": M},
+    )
 
 
 def quotient_norm_upper(a: L1ZSeq, g: L1ZSeq, k: L1ZSeq) -> CertUpper:

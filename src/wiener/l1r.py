@@ -180,14 +180,18 @@ def _segment_abs_masses(f: PLFunction, *factors: np.ndarray) -> np.ndarray:
     return np.ldexp(out, e)
 
 
-def norm_l1(f: PLFunction) -> CertUpper:
-    """Certified one-norm: closed-form segment integrals plus slack."""
-    masses = _segment_abs_masses(f)
+def _mass_upper(f: PLFunction, terms: int, *factors: np.ndarray) -> CertUpper:
+    """Certified sum of the segment masses, ``terms`` roundings per segment."""
+    masses = _segment_abs_masses(f, *factors)
     total = float(np.sum(masses))
     if np.any(f.values):  # covers the absolute error of subnormal masses
         total = _guarded(total)
-    body = cu_from_float_sum(total, masses.size * _MASS_TERMS)
-    return cu_add(body, f.l1_slack)
+    return cu_from_float_sum(total, masses.size * terms)
+
+
+def norm_l1(f: PLFunction) -> CertUpper:
+    """Certified one-norm: closed-form segment integrals plus slack."""
+    return cu_add(_mass_upper(f, _MASS_TERMS), f.l1_slack)
 
 
 def _value_variation(f: PLFunction) -> float:
@@ -243,8 +247,8 @@ def sub_fn(f: PLFunction, g: PLFunction) -> PLFunction:
 # convolution
 
 
-def _resample_uniform(f: PLFunction, h: float) -> Tuple[PLFunction, float]:
-    """Uniform-grid re-interpolation and a certified L1 error for it."""
+def _resample_uniform(f: PLFunction, h: float) -> PLFunction:
+    """Uniform-grid re-interpolation; its certified L1 error joins the slack."""
     lo, hi = f.span()
     # the extra node guarantees the grid covers the support even after
     # rounding inside ceil
@@ -257,8 +261,7 @@ def _resample_uniform(f: PLFunction, h: float) -> Tuple[PLFunction, float]:
     vals[-1] = 0.0
     err = _up(0.25 * h * h * _slope_variation(f))
     rnd = 16.0 * ULP * float(np.sum(np.abs(vals))) * h
-    out = PLFunction(bp, vals, cu_add(f.l1_slack, cu(_up(err + rnd))))
-    return out, err
+    return PLFunction(bp, vals, cu_add(f.l1_slack, cu(_up(err + rnd))))
 
 
 def _fast_conv(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, float]:
@@ -290,8 +293,8 @@ def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
     if span / h > _NODE_CAP:
         raise ToleranceUnreachable("tolerance unreachable")
 
-    fh, _ = _resample_uniform(f, h)
-    gh, _ = _resample_uniform(g, h)
+    fh = _resample_uniform(f, h)
+    gh = _resample_uniform(g, h)
     w, node_err = _fast_conv(fh.values, gh.values)
     stencil = np.array([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0])
     nodes = h * np.convolve(w, stencil)
@@ -372,7 +375,7 @@ def fourier_eval_many(f: PLFunction, ps) -> Tuple[np.ndarray, CertUpper]:
             (lo, hi), sv = f.span(), _slope_variation(f)
             h = math.sqrt(f.l1_slack.value / (256.0 * sv)) if sv else hi - lo
             h = min(hi - lo, max(h, (hi - lo) / _RESAMPLE_CAP))
-            f, _ = _resample_uniform(f, h)
+            f = _resample_uniform(f, h)
             S, grid_x = f.breakpoints.size - 1, (h, 0.0)
         (h, drift_x), (dp, drift_p) = grid_x, grid_p
         x0 = float(f.breakpoints[0])
@@ -432,11 +435,7 @@ def transform_lipschitz_upper(f: PLFunction) -> CertUpper:
     bounded segmentwise by max|x| times the segment mass.
     """
     xmax = np.maximum(np.abs(f.breakpoints[:-1]), np.abs(f.breakpoints[1:]))
-    masses = _segment_abs_masses(f, xmax)
-    total = float(np.sum(masses))
-    if np.any(f.values):  # covers the absolute error of subnormal masses
-        total = _guarded(total)
-    return cu_from_float_sum(total, masses.size * (_MASS_TERMS + 2))
+    return _mass_upper(f, _MASS_TERMS + 2, xmax)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Inversion pipeline: series inverses, certification, refinement."""
+"""Inversion pipeline: series inverses, certification, sampled inverses."""
 
 import math
 
@@ -49,20 +49,6 @@ def test_perturb_invert_bound():
         inversion.perturb_invert_bound(M, cu(0.3), 0.5)
     with pytest.raises(InvalidInput):
         inversion.perturb_invert_bound(M, cu(0.1), 1.5)
-
-
-def test_newton_refine_quadratic():
-    f = L1ZSeq({0: 1.0, 1: 0.5})
-    seed = delta(0)  # residual ||0.5 d1|| = 0.5 < 1
-    inv, cert = inversion.newton_refine(f, seed, 1e-10)
-    assert cert.residual.value <= 1e-10
-    assert mp_residual(f, inv) <= mpmath.mpf(cert.residual.value)
-
-
-def test_newton_rejects_noncontracting_seed():
-    f = L1ZSeq({0: 1.0, 1: 2.0})
-    with pytest.raises(HypothesisFailure):
-        inversion.newton_refine(f, delta(0), 1e-8)
 
 
 def test_circle_certify_succeeds_on_margin():
@@ -117,29 +103,76 @@ def test_wiener_invert_randomized_sound(rng):
 @pytest.mark.parametrize(
     "coeffs", [{0: 1.0, 1: 0.5, -3: 0.125}, {0: 2.0}, {0: 1.0, 40: -0.25j, -7: 0.3}]
 )
-def test_candidate_readoff_matches_loop(monkeypatch, coeffs):
-    # the candidate handed to Newton is the loop read-off of the same samples
+def test_candidate_readoff_matches_loop(coeffs):
+    # the witness is the loop read-off of the samples at the final degree,
+    # truncated within the budget, with the dropped mass not carried along
     f, target = L1ZSeq(coeffs), 1e-8
-    seeds = []
-    refine = inversion.newton_refine
-
-    def spy(f, x0, target):
-        seeds.append(x0)
-        return refine(f, x0, target)
-
-    monkeypatch.setattr(inversion, "newton_refine", spy)
-    _, cert = inversion.wiener_invert(f, 0.2, target)
+    inv, cert = inversion.wiener_invert(f, 0.2, target)
     M = cert.params["degree"]
+    budget = target / (8.0 * (1.0 + l1z.norm_upper(f).value))
     coeff = np.fft.fft(1.0 / inversion._circle_sampler(f)(M)[1]) / M
     loop = {}
     for j in range(M):
         n = j if j <= M // 2 else j - M
         c = complex(coeff[j])
-        if abs(c) > 1e-300:
+        if abs(c) > budget / M:
             loop[n] = c
-    want = l1z.truncate(L1ZSeq(loop), target / 8.0)
-    assert len(seeds) == 1
-    assert l1z.dumps(seeds[0]) == l1z.dumps(want)
+    want = L1ZSeq(l1z.truncate(L1ZSeq(loop), budget).coeffs)
+    assert l1z.dumps(inv) == l1z.dumps(cert.witness) == l1z.dumps(want)
+
+
+def _decaying_symbol(n, seed):
+    """``1 - sum b_k e^(ik theta) z^k`` over ``|k| <= n // 2``, min modulus 0.45."""
+    rng = np.random.default_rng(seed)
+    half = (n - 1) // 2
+    ks = np.arange(-half, half + 1)
+    b = np.exp(-np.abs(ks) / max(1.25, half / 32.0)) * rng.uniform(0.5, 1.0, ks.size)
+    b[half] = 0.0
+    c = -(0.55 / b.sum()) * b * np.exp(1j * ks * rng.uniform(0.0, 2.0 * math.pi))
+    c[half] = 1.0
+    return L1ZSeq(dict(zip(ks.tolist(), c.tolist())))
+
+
+@pytest.mark.parametrize(
+    "f, eps, target",
+    [
+        (L1ZSeq({0: 1.0, 1: 0.5}), 0.45, 1e-15),
+        (_decaying_symbol(2001, 2001), 0.4, 1e-12),
+    ],
+)
+def test_wiener_invert_stops_at_floating_floor(f, eps, target):
+    # both targets lie below what double sampling reaches: once the residual
+    # is below one, a doubling that does not halve it ends the search
+    with pytest.raises(CertificationFailure) as exc:
+        inversion.wiener_invert(f, eps, target)
+    report = exc.value.report
+    assert target < report["best_rho"] < 1.0
+    assert report["degree"] <= 2 ** 14 < inversion._GRID_CAP
+
+
+def test_wiener_invert_long_symbol():
+    # above 2,048 coefficients the whole symbol is sampled: a truncated
+    # copy would floor the residual near its dropped mass times ||1/f||
+    f = _decaying_symbol(3001, 3001)
+    inv, cert = inversion.wiener_invert(f, 0.4, 1e-9)
+    assert cert.residual.value <= 1e-9
+    assert inversion.residual_norm(f, inv) == cert.residual
+
+
+@pytest.mark.parametrize(
+    "coeffs, eps, target",
+    [
+        ({0: 1.0, 500: 0.9j}, 0.05, 1e-10),  # lacunary, slow decay of the inverse
+        ({0: 100.0, 1: 45.0, -2: 30.0}, 20.0, 1e-8),  # large norm
+        ({0: 1000.0, 3: 400j}, 500.0, 1e-10),
+    ],
+)
+def test_wiener_invert_oracle_residual(coeffs, eps, target):
+    f = L1ZSeq(coeffs)
+    inv, cert = inversion.wiener_invert(f, eps, target)
+    assert cert.residual.value <= target
+    assert inv.tail.value == 0.0
+    assert mp_residual(f, inv) <= mpmath.mpf(cert.residual.value)
 
 
 def test_wiener_invert_hypothesis_failure():
