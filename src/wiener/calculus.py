@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 from . import l1z
-from .certs import CU_ZERO, CertUpper, cu, cu_add, cu_mul, _up
+from .certs import CU_ZERO, CertUpper, cu, cu_add, cu_from_float_sum, cu_mul, _fsum, _up
 from .errors import HypothesisFailure, InvalidInput, ToleranceUnreachable
 from .l1z import L1ZSeq, delta, norm_upper
 
 _PANEL_CAP = 2 ** 22
+_SPEED_SAMPLES = 257  # grid points for a path's certified speed
 
 Modulus = Callable[[float], CertUpper]
 
@@ -41,10 +42,10 @@ class PathLoop:
         if self.is_loop and abs(self.point(0.0) - self.point(1.0)) > 1e-12:
             raise InvalidInput("loop endpoints do not match")
 
-    def speed_upper(self, samples: int = 257) -> CertUpper:
+    def speed_upper(self) -> CertUpper:
         """Certified sup of ``|gamma'|``: grid max plus Lipschitz slack."""
-        h = 1.0 / (samples - 1)
-        m = max(abs(self.derivative(i * h)) for i in range(samples))
+        h = 1.0 / (_SPEED_SAMPLES - 1)
+        m = max(abs(self.derivative(i * h)) for i in range(_SPEED_SAMPLES))
         return cu_add(cu(_up(m)), cu_mul(self.deriv_lipschitz, cu(h / 2.0)))
 
 
@@ -170,12 +171,10 @@ def polynomial_map(coeffs, radius: float) -> CurveMap:
     ``coeffs[k]`` multiplies ``z**k``.
     """
     coeffs = [complex(c) for c in coeffs]
-    sup = 0.0
-    lip = 0.0
-    for k, c in enumerate(coeffs):
-        sup = _up(sup + _up(abs(c) * radius ** k))
-        if k > 0:
-            lip = _up(lip + _up(k * abs(c) * radius ** (k - 1)))
+    mags = [abs(c) for c in coeffs]
+    # per term: |c| and radius ** k, two roundings each, one per product; the fsum, 1
+    sup = cu_from_float_sum(_fsum(m * radius ** k for k, m in enumerate(mags)), 6)
+    lip = cu_from_float_sum(_fsum(k * m * radius ** (k - 1) for k, m in enumerate(mags) if k), 7)
 
     def fn(z: complex) -> L1ZSeq:
         v = 0j
@@ -183,8 +182,7 @@ def polynomial_map(coeffs, radius: float) -> CurveMap:
             v = v * z + c
         return delta(0, v)
 
-    lip_cu = cu(lip)
-    return CurveMap(fn, lambda d: cu_mul(lip_cu, cu(_up(abs(d)))), cu(sup))
+    return CurveMap(fn, lambda d: cu_mul(lip, cu(_up(abs(d)))), sup)
 
 
 def loop_integral(

@@ -8,8 +8,11 @@ addition, multiplication or division is multiplied by ``1 + 4*2**-52``,
 which dominates the worst-case rounding of both the operation and the
 slack multiply itself.
 
-Sums are evaluated in a fixed left-to-right order over canonically sorted
-inputs so certificates are bit-reproducible across runs.
+A float sum becomes a bound in one place, :func:`cu_from_float_sum`, which
+inflates the total by a count of the roundings behind it.  Sums of Python
+values are taken with ``math.fsum``, correctly rounded and so independent
+of the order of the summands: certificates are bit-reproducible across
+runs without sorting.
 """
 
 from __future__ import annotations
@@ -123,44 +126,55 @@ def cu_cross(ta: CertUpper, na: CertUpper, tb: CertUpper, nb: CertUpper) -> Cert
     return cu_add(cu_add(cu_mul(ta, nb), cu_mul(tb, na)), cu_mul(ta, tb))
 
 
+def _fsum(values: Iterable[float]) -> float:
+    """``math.fsum``, its intermediate overflow reported as a bound overflow."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise BoundOverflow("bound overflow") from None
+
+
 def cu_sum_abs(xs: Iterable[complex]) -> CertUpper:
-    """Upper bound on ``sum(|x|)``, left-to-right with per-step slack."""
-    s = 0.0
-    for x in xs:
-        if _has_nan(x):
-            raise InvalidInput("NaN in summand")
-        t = abs(x)
-        if t != 0.0:
-            t = _guarded(t)
-        s = _up(s + _up(t))
-    return CertUpper(s)
+    """Upper bound on ``sum(|x|)`` over exact summands, NaN rejected.
+
+    One ``fsum`` of the moduli: a ``hypot`` each (2) and the sum (1).
+    """
+    xs = list(xs)
+    total = _fsum(map(abs, xs))
+    if math.isinf(total) and any(_has_nan(x) for x in xs):  # |inf + nan j| is inf
+        raise InvalidInput("NaN in summand")
+    return cu_from_float_sum(total, 3)
 
 
 def cu_sum(bounds: Iterable[CertUpper]) -> CertUpper:
-    """Left-to-right certified sum of upper bounds."""
-    s = 0.0
-    for b in bounds:
-        s = _up(s + b.value)
-    return CertUpper(s)
+    """Certified sum of upper bounds: exact values, one ``fsum`` rounding."""
+    return cu_from_float_sum(_fsum(b.value for b in bounds), 1)
 
 
-def cu_from_float_sum(total: float, nterms: int) -> CertUpper:
-    """Promote a vectorized nonnegative sum to a certified bound.
+def cu_from_float_sum(total: float, count: int) -> CertUpper:
+    """Promote a floating sum of nonnegative terms to a certified bound.
 
-    ``total`` must be the floating sum (in any association order) of
-    ``nterms`` nonnegative doubles that are themselves exact or already
-    upper bounds.  Recursive/pairwise summation of nonnegative terms has
-    relative error below ``nterms * 2**-53``, which this inflation covers.
+    ``count`` covers the roundings from the true sum ``S`` to ``total``, in
+    units of ``u = 2**-53``: one per correctly rounded operation, two per
+    function faithful to an ulp (``hypot`` in a complex ``|x|``, ``pow``).
+    It is the most that any term went through plus the sum's own: one for
+    ``math.fsum`` (correctly rounded, so no growth with ``n``), ``n - 1``
+    for any other float sum of ``n`` terms.  Then ``S <= total / (1 -
+    u)**count <= total (1 + count ULP)``, which the growth ``1 + (count + 4)
+    ULP`` covers.  Below ``_TINY``, where a rounding may be off by
+    ``2**-1074``, the ``_guarded`` cushion goes once on a nonzero total.
     """
     if math.isnan(total):
         raise InvalidInput("NaN in summand")
     if total < 0.0:
         raise InvalidInput("negative total for a nonnegative sum")
-    growth = 1.0 + (nterms + 4.0) * ULP
+    growth = 1.0 + (count + 4.0) * ULP
     if growth > 1.01:
         # absurdly long sums would need a sharper analysis
         raise InvalidInput("sum too long for the coarse inflation policy")
-    return CertUpper(_up(total * growth))
+    if total == 0.0:
+        return CU_ZERO
+    return CertUpper(_up(_guarded(total) * growth))
 
 
 def _has_nan(c: complex) -> bool:

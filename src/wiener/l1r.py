@@ -26,27 +26,10 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .certs import (
-    CU_ZERO,
-    ULP,
-    CertUpper,
-    certify_min_modulus,
-    cu,
-    cu_add,
-    cu_cross,
-    cu_from_float_sum,
-    cu_mul,
-    fft_roundoff,
-    _guarded,
-    _up,
-)
-from .errors import (
-    BoundOverflow,
-    CertificationFailure,
-    HypothesisFailure,
-    InvalidInput,
-    ToleranceUnreachable,
-)
+from .certs import (CU_ZERO, ULP, CertUpper, certify_min_modulus, cu, cu_add, cu_cross,
+                    cu_from_float_sum, cu_mul, fft_roundoff, _up)
+from .errors import (BoundOverflow, CertificationFailure, HypothesisFailure, InvalidInput,
+                     ToleranceUnreachable)
 
 _NODE_CAP = 2 ** 23
 _PAIR_CUT = 1 << 20
@@ -114,8 +97,8 @@ def evaluate(f: PLFunction, xs) -> np.ndarray:
 # norms and variation bounds
 
 
-#: the inflation, in ulps per segment, of a sum of masses: ``4 * 16`` for a
-#: mass (``_segment_abs_masses``), one for the length and product, one for the sum
+#: rounding count per segment of a sum of masses: ``S`` masses within 64 ulps
+#: (128), a product each and ``np.sum`` need ``S + 128``, below ``66 S`` for ``S >= 2``
 _MASS_TERMS = 66
 
 #: below this ``|d|``, relative to a segment scaled into [1/2, 1), the
@@ -184,8 +167,8 @@ def _mass_upper(f: PLFunction, terms: int, *factors: np.ndarray) -> CertUpper:
     """Certified sum of the segment masses, ``terms`` roundings per segment."""
     masses = _segment_abs_masses(f, *factors)
     total = float(np.sum(masses))
-    if np.any(f.values):  # covers the absolute error of subnormal masses
-        total = _guarded(total)
+    if np.any(f.values):  # masses that underflow to zero still need the cushion
+        total = max(total, math.ulp(0.0))
     return cu_from_float_sum(total, masses.size * terms)
 
 
@@ -196,16 +179,22 @@ def norm_l1(f: PLFunction) -> CertUpper:
 
 def _value_variation(f: PLFunction) -> float:
     """Upper bound on the total variation of f (zero outside the support)."""
+    # rounding count: a difference and its modulus (3), np.sum of m - 1 terms
     tv = float(np.sum(np.abs(np.diff(f.values))))
-    return _up(tv * (1.0 + f.values.size * ULP))
+    return cu_from_float_sum(tv, f.values.size + 1).value
 
 
 def _slope_variation(f: PLFunction) -> float:
-    """Upper bound on the variation of f' as a measure (kink jump mass)."""
+    """Upper bound on the variation of f' as a measure (kink jump mass).
+
+    Rounding count for ``n`` slopes, each within ``3u`` of its modulus: the
+    jumps lose ``6u sum |s_i| <= 3n u V`` (``V >= 2 max |s_i|``), so ``3n``;
+    a jump's difference and modulus 3, the sum ``n``.
+    """
     slopes = np.diff(f.values) / np.diff(f.breakpoints)
     jumps = np.abs(np.diff(slopes))
     total = abs(slopes[0]) + float(np.sum(jumps)) + abs(slopes[-1])
-    return _up(total * (1.0 + (slopes.size + 2) * ULP))
+    return cu_from_float_sum(total, 4 * slopes.size + 3).value
 
 
 # ---------------------------------------------------------------------------
@@ -503,12 +492,13 @@ def fejer_kernel(lam: float, support_tol: float) -> PLFunction:
         vals[-1] = 0.0
         h_seg = np.diff(bp)
         x_lo = np.minimum(np.abs(bp[:-1]), np.abs(bp[1:]))
+        # rounding count per term: h ** 3 5, the curvature 13, two products
         disc_terms = 0.25 * h_seg ** 3 * _fejer_curvature(lam, x_lo)
         disc = float(np.sum(disc_terms))
         if disc <= 1.5 * budget or theta < 1e-6:
             break
         theta /= 2.0
-    disc_cu = cu_from_float_sum(disc, disc_terms.size + 4)
+    disc_cu = cu_from_float_sum(disc, disc_terms.size + 19)
     slack = cu_add(cu_add(cu(tail), disc_cu), cu(_up(edge + 1e-12)))
     return PLFunction(bp, vals, slack)
 

@@ -8,6 +8,8 @@ one-norm.  All operations keep that reading sound.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -15,23 +17,14 @@ from typing import Callable, Dict, Iterable, Tuple
 
 import numpy as np
 
-from .certs import (
-    CU_ZERO,
-    ULP,
-    CertUpper,
-    _up,
-    cu,
-    cu_abs,
-    cu_add,
-    cu_cross,
-    cu_mul,
-    cu_sum,
-    cu_sum_abs,
-)
+from .certs import (CU_ZERO, ULP, CertUpper, _fsum, _up, cu, cu_abs, cu_add, cu_cross,
+                    cu_from_float_sum, cu_mul, cu_sum, cu_sum_abs)
 from .errors import BoundOverflow, InvalidInput, ToleranceUnreachable
 
-# dense numpy convolution pays off once the double loop gets this big
+# dense numpy convolution pays off once the double loop gets this big, and
+# while its span-by-span work stays within this many times the loop's pairs
 _DENSE_CONV_THRESHOLD = 10_000
+_DENSE_SPAN_RATIO = 64
 
 _CIRCLE_TOL = 1e-12
 
@@ -110,14 +103,16 @@ def convolve(a: L1ZSeq, b: L1ZSeq) -> L1ZSeq:
         tail = cu_cross(a.tail, norm_upper(a), b.tail, norm_upper(b))
     if not a.coeffs or not b.coeffs:
         return L1ZSeq({}, tail)
-    if len(a.coeffs) * len(b.coeffs) <= _DENSE_CONV_THRESHOLD:
+    lo_a, hi_a = a.support()
+    lo_b, hi_b = b.support()
+    pairs = len(a.coeffs) * len(b.coeffs)
+    dense_work = (hi_a - lo_a + 1) * (hi_b - lo_b + 1)
+    if pairs <= _DENSE_CONV_THRESHOLD or dense_work > _DENSE_SPAN_RATIO * pairs:
         out: Dict[int, complex] = {}
         for i, ca in sorted(a.coeffs.items()):
             for j, cb in sorted(b.coeffs.items()):
                 out[i + j] = out.get(i + j, 0j) + ca * cb
         return L1ZSeq(out, tail)
-    lo_a, hi_a = a.support()
-    lo_b, hi_b = b.support()
     va = np.zeros(hi_a - lo_a + 1, dtype=complex)
     vb = np.zeros(hi_b - lo_b + 1, dtype=complex)
     for n, c in a.coeffs.items():
@@ -143,8 +138,7 @@ def weighted_sum(
     for a in parts:
         for n, c in a.coeffs.items():
             acc[n] = acc.get(n, 0j) + w * c
-        if a.tail.value:
-            tails.append(a.tail)
+        tails.append(a.tail)
     return L1ZSeq(acc, cu_add(cu_mul(cu(abs(w)), cu_sum(tails)), extra))
 
 
@@ -197,8 +191,7 @@ def power_series(
 
 def norm_upper(a: L1ZSeq) -> CertUpper:
     """Certified one-norm bound: coefficient mass plus tail."""
-    body = cu_sum_abs(c for _, c in sorted(a.coeffs.items()))
-    return cu_add(body, a.tail)
+    return cu_add(cu_sum_abs(a.coeffs.values()), a.tail)
 
 
 def eval_circle(a: L1ZSeq, lam: complex) -> Tuple[complex, CertUpper]:
@@ -239,7 +232,8 @@ def circle_lipschitz_upper(a: L1ZSeq) -> CertUpper:
     """
     if a.tail.value != 0.0:
         raise InvalidInput("lipschitz unavailable for infinite tail")
-    return cu_sum_abs(abs(n) * c for n, c in sorted(a.coeffs.items()) if n != 0)
+    # per term: |n| to a float, |c| (hypot) and the product, 4; the fsum, 1
+    return cu_from_float_sum(_fsum(abs(n) * abs(c) for n, c in a.coeffs.items()), 5)
 
 
 def truncate(a: L1ZSeq, budget: float) -> L1ZSeq:
@@ -255,15 +249,14 @@ def truncate(a: L1ZSeq, budget: float) -> L1ZSeq:
         a.coeffs.items(),
         key=lambda item: (abs(item[1]), abs(item[0]), -item[0]),
     )
-    kept = dict(a.coeffs)
-    dropped = CU_ZERO
-    for n, c in order:
-        step = cu_add(dropped, cu_abs(c))
-        if step.value > budget:
-            break
-        dropped = step
-        del kept[n]
-    return L1ZSeq(kept, cu_add(a.tail, dropped))
+    prefix = list(itertools.accumulate(abs(c) for _, c in order))
+
+    def dropped(k: int) -> CertUpper:  # k moduli (2 roundings) summed in order (k - 1)
+        return cu_from_float_sum(prefix[k - 1], k + 1) if k else CU_ZERO
+
+    # the bound grows with k: bisect for the longest prefix within budget
+    k = bisect.bisect_right(range(len(order) + 1), budget, key=lambda j: dropped(j).value) - 1
+    return L1ZSeq(dict(order[k:]), cu_add(a.tail, dropped(k)))
 
 
 # ---------------------------------------------------------------------------

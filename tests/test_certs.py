@@ -1,6 +1,8 @@
 """Certified upper-bound arithmetic: soundness against 128-bit oracles."""
 
 import math
+import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -106,9 +108,64 @@ def test_cu_sum_sound(xs):
     assert mpmath.mpf(bound) >= mpmath.fsum(xs)
 
 
-def test_sum_abs_deterministic():
+def _spread(rng, n, lo=-320, hi=300):
+    """``n`` complex summands, moduli log-uniform over ``10**lo .. 10**hi``.
+
+    A third are real, a third imaginary and a third have both parts.
+    """
+    mag = 10.0 ** rng.uniform(lo, hi, n) * rng.choice([-1.0, 1.0], n)
+    ang = rng.uniform(0.0, 2.0 * math.pi, n)
+    kind = rng.integers(0, 3, n)
+    return [complex(m, 0.0) if k == 0 else complex(0.0, m) if k == 1
+            else complex(m * math.cos(t), m * math.sin(t))
+            for m, t, k in zip(mag.tolist(), ang.tolist(), kind.tolist())]
+
+
+def _exact_abs_sum(xs) -> Fraction:
+    """``sum |x|`` in exact rationals, each modulus rounded up at ``2**-1300``.
+
+    Every double is an integer multiple of ``2**-1074``, so its parts are
+    exact integers in units of ``2**-1300``; a modulus is their ceiled
+    integer square root, exact for a real or an imaginary summand.
+    """
+    total = 0
+    for x in xs:
+        a, b = (p * (1 << 1300) // q for p, q in (abs(x.real).as_integer_ratio(),
+                                                   abs(x.imag).as_integer_ratio()))
+        total += a + b if not (a and b) else math.isqrt(a * a + b * b - 1) + 1
+    return Fraction(total, 1 << 1300)
+
+
+@pytest.mark.parametrize("n, lo, hi", [(3, -320, 300), (2001, -320, 300),
+                                       (100_000, -320, 300), (2001, -323, -308)],
+                         ids=["3", "2001", "100000", "2001-subnormal"])
+def test_sum_abs_exact_oracle(rng, n, lo, hi):
+    xs = _spread(rng, n, lo, hi)
+    exact = _exact_abs_sum(xs)
+    bound = cu_sum_abs(xs).value
+    assert Fraction(bound) >= exact
+    # one correctly rounded sum: the inflation does not grow with n
+    assert Fraction(bound) <= exact * (1 + Fraction(16 * ULP)) + Fraction(2e-307)
+
+
+def test_sum_abs_overflow_and_nan():
+    for xs in ([1e308, 1e308], [1.7e308, 1e307], [sys.float_info.max], [complex(1.3e308, -1.3e308)]):
+        with pytest.raises(BoundOverflow):
+            cu_sum_abs(xs)
+    with pytest.raises(BoundOverflow):
+        cu_sum([cu(1e308), cu(1e308)])
+    for bad in (float("nan"), complex(0.0, float("nan")), complex(float("inf"), float("nan"))):
+        with pytest.raises(InvalidInput):
+            cu_sum_abs([1.0, bad])
+
+
+def test_sum_abs_deterministic(rng):
     xs = [complex(0.1 * k, -0.07 * k) for k in range(50)]
     assert cu_sum_abs(xs).value == cu_sum_abs(list(xs)).value
+    # the bound does not depend on the order of the summands
+    xs = _spread(rng, 2001, -3, 9)
+    shuffled = [xs[i] for i in rng.permutation(len(xs))]
+    assert cu_sum_abs(shuffled).value == cu_sum_abs(xs).value == cu_sum_abs(xs[::-1]).value
 
 
 def test_from_float_sum_sound(rng):

@@ -253,15 +253,23 @@ def test_failure_contract(tmp_path, monkeypatch, capsys, args, code, status):
             assert arg in doc["log"][0]
 
 
+_FAR_DENSE = L1ZSeq({**{n: 1e-3 for n in range(101)}, 2 ** 70: 1e-300})
+
+
 def test_exp_far_apart_support_ok(tmp_path, monkeypatch, capsys):
-    # indices 0 and 2**70 stay on the sparse path: no span-sized array
-    (tmp_path / "far.json").write_text(_INPUTS["far.json"])
+    # a support reaching 2**70 stays on the sparse path: no span-sized array,
+    # even when 102 * 102 coefficient pairs would pick the dense one by count
     monkeypatch.chdir(tmp_path)
-    got, out, err = _run_cli(monkeypatch, capsys, ["exp", "--input", "far.json"])
-    assert (got, err) == (0, "")
-    doc = json.loads(out, parse_constant=_strict)
-    assert doc["status"] == "ok"
-    assert [c["n"] for c in doc["payload"]["coeffs"]] == [0, 2 ** 70]
+    for far in (_INPUTS["far.json"], l1z.dumps(_FAR_DENSE)):
+        (tmp_path / "far.json").write_text(far)
+        got, out, err = _run_cli(monkeypatch, capsys, ["exp", "--input", "far.json"])
+        assert (got, err) == (0, "")
+        doc = json.loads(out, parse_constant=_strict)
+        assert doc["status"] == "ok"
+        indices = [c["n"] for c in doc["payload"]["coeffs"]]
+        near = [n for n in indices if n < 2 ** 69]
+        assert near == list(range(len(near))) and 2 ** 70 in indices
+        assert max(indices) < 2 ** 70 + 2 ** 20  # the 2**71 products underflow
 
 
 def test_failure_envelope_goes_to_out(tmp_path, monkeypatch, capsys):

@@ -71,6 +71,17 @@ def test_dense_path_matches_dict_path(rng):
         assert abs(mpc(got.coeffs.get(n, 0j)) - v) <= 1e-9 * (1.0 + abs(v))
 
 
+def test_far_support_convolution_matches_dict_loop():
+    # 102 coefficients reaching 10**6 pass the pair-count test for the dense
+    # path, whose arrays would span 10**12 products; the dict loop is exact
+    a = L1ZSeq({**{n: complex(1.0 / (n + 1), 0.5) for n in range(101)}, 10 ** 6: 0.25j})
+    want = {}
+    for i, ca in sorted(a.coeffs.items()):
+        for j, cb in sorted(a.coeffs.items()):
+            want[i + j] = want.get(i + j, 0j) + ca * cb
+    assert l1z.convolve(a, a) == L1ZSeq(want)
+
+
 @given(seqs)
 @settings(max_examples=100, deadline=None)
 def test_norm_sound(a):
