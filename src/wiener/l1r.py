@@ -26,10 +26,26 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .certs import (CU_ZERO, ULP, CertUpper, certify_min_modulus, cu, cu_add, cu_cross,
-                    cu_from_float_sum, cu_mul, fft_roundoff, _up)
-from .errors import (BoundOverflow, CertificationFailure, HypothesisFailure, InvalidInput,
-                     ToleranceUnreachable)
+from .certs import (
+    CU_ZERO,
+    ULP,
+    CertUpper,
+    certify_min_modulus,
+    cu,
+    cu_add,
+    cu_cross,
+    cu_from_float_sum,
+    cu_mul,
+    fft_roundoff,
+    _up,
+)
+from .errors import (
+    BoundOverflow,
+    CertificationFailure,
+    HypothesisFailure,
+    InvalidInput,
+    ToleranceUnreachable,
+)
 
 _NODE_CAP = 2 ** 23
 _PAIR_CUT = 1 << 20

@@ -8,8 +8,6 @@ one-norm.  All operations keep that reading sound.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -17,14 +15,27 @@ from typing import Callable, Dict, Iterable, Tuple
 
 import numpy as np
 
-from .certs import (CU_ZERO, ULP, CertUpper, _fsum, _up, cu, cu_abs, cu_add, cu_cross,
-                    cu_from_float_sum, cu_mul, cu_sum, cu_sum_abs)
+from .certs import (
+    CU_ZERO,
+    ULP,
+    CertUpper,
+    _fsum,
+    _up,
+    cu,
+    cu_abs,
+    cu_add,
+    cu_cross,
+    cu_from_float_sum,
+    cu_mul,
+    cu_sum,
+    cu_sum_abs,
+)
 from .errors import BoundOverflow, InvalidInput, ToleranceUnreachable
 
-# dense numpy convolution pays off once the double loop gets this big, and
-# while its span-by-span work stays within this many times the loop's pairs
+# dense numpy convolution pays off once the double loop gets this big, and while
+# its span-by-span work stays within the ratio where the two paths time alike
 _DENSE_CONV_THRESHOLD = 10_000
-_DENSE_SPAN_RATIO = 64
+_DENSE_SPAN_RATIO = 256
 
 _CIRCLE_TOL = 1e-12
 
@@ -249,14 +260,15 @@ def truncate(a: L1ZSeq, budget: float) -> L1ZSeq:
         a.coeffs.items(),
         key=lambda item: (abs(item[1]), abs(item[0]), -item[0]),
     )
-    prefix = list(itertools.accumulate(abs(c) for _, c in order))
-
-    def dropped(k: int) -> CertUpper:  # k moduli (2 roundings) summed in order (k - 1)
-        return cu_from_float_sum(prefix[k - 1], k + 1) if k else CU_ZERO
-
-    # the bound grows with k: bisect for the longest prefix within budget
-    k = bisect.bisect_right(range(len(order) + 1), budget, key=lambda j: dropped(j).value) - 1
-    return L1ZSeq(dict(order[k:]), cu_add(a.tail, dropped(k)))
+    kept, dropped, total = dict(a.coeffs), CU_ZERO, 0.0
+    for k, (n, c) in enumerate(order, 1):
+        total += abs(c)
+        step = cu_from_float_sum(total, k + 1)  # k moduli (2 roundings) summed in order (k - 1)
+        if step.value > budget:
+            break
+        dropped = step
+        del kept[n]
+    return L1ZSeq(kept, cu_add(a.tail, dropped))
 
 
 # ---------------------------------------------------------------------------
