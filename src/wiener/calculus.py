@@ -6,17 +6,26 @@ path/loop integrals, and the resolvent loop integral whose value is the
 numerical embodiment of "a globally bounded resolvent forces a trivial
 algebra": the integral of the resolvent over a circle enclosing the
 norm ball equals ``2*pi*i`` times the unit.
+
+A map from the plane into the algebra (:class:`CurveMap`) is a finite
+expansion in powers of ``z / radius`` plus a certified remainder, so a loop
+integral is summed term by term: one midpoint sum of scalar powers per
+term, each term multiplied in once.  The resolvent demo's trace reads the
+same terms at the same nodes.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Dict, List, Tuple
+
+import numpy as np
 
 from . import l1z
-from .certs import CU_ZERO, CertUpper, cu, cu_add, cu_from_float_sum, cu_mul, _fsum, _up
-from .errors import HypothesisFailure, InvalidInput, ToleranceUnreachable
+from .certs import CU_ZERO, ULP, CertUpper, cu, cu_add, cu_from_float_sum, cu_mul, cu_sum, _fsum, _up
+from .errors import BoundOverflow, HypothesisFailure, InvalidInput, ToleranceUnreachable
 from .l1z import L1ZSeq, delta, norm_upper
 
 _PANEL_CAP = 2 ** 22
@@ -36,10 +45,9 @@ class PathLoop:
     point: Callable[[float], complex]
     derivative: Callable[[float], complex]
     deriv_lipschitz: CertUpper
-    is_loop: bool = True
 
     def __post_init__(self):
-        if self.is_loop and abs(self.point(0.0) - self.point(1.0)) > 1e-12:
+        if abs(self.point(0.0) - self.point(1.0)) > 1e-12:
             raise InvalidInput("loop endpoints do not match")
 
     def speed_upper(self) -> CertUpper:
@@ -61,7 +69,7 @@ def circle_loop(radius: float, center: complex = 0j) -> PathLoop:
     def derivative(t: float) -> complex:
         return radius * w * complex(-math.sin(w * t), math.cos(w * t))
 
-    return PathLoop(point, derivative, cu(_up(radius * w * w)), True)
+    return PathLoop(point, derivative, cu(_up(radius * w * w)))
 
 
 @dataclass(frozen=True)
@@ -101,10 +109,8 @@ def integrate(
     """
     if b < a:
         raise InvalidInput("integration bounds must satisfy a <= b")
-    if panels is not None and panels < 1:
-        raise InvalidInput("panels must be at least 1")
-    if panels is not None and panels > _PANEL_CAP:
-        raise InvalidInput("panels must be at most %d" % _PANEL_CAP)
+    if panels is not None:
+        _check_panels(panels)
     if b == a:
         return l1z.zero(), CU_ZERO
     width = b - a
@@ -117,15 +123,31 @@ def integrate(
             if panels > _PANEL_CAP:
                 raise ToleranceUnreachable("tolerance unreachable")
     h = width / panels
-    value = l1z.weighted_sum((curve.value(a + (i + 0.5) * h) for i in range(panels)), h)
-    err = _quad_err(curve.modulus, width, panels)
-    # roundoff of the panel accumulation, folded into the bound
-    acc = value.coeffs
-    coeff_mass = sum(abs(c) for c in acc.values())
-    err = cu_add(err, cu(_up((panels + len(acc) + 4) * 2.0 ** -52 * (coeff_mass + 1.0))))
+    mass = 0.0
+
+    def values():
+        nonlocal mass
+        for i in range(panels):
+            v = curve.value(a + (i + 0.5) * h)
+            mass += _fsum(map(abs, v.coeffs.values()))
+            yield v
+
+    value = l1z.weighted_sum(values(), h)
+    # roundoff against h sum f(t_i): h (1), h c (1) and up to panels - 1 sums per
+    # index (normwise by Minkowski), in units of u of h sum_i ||f(t_i)||; ULP = 2u
+    # covers the second order.  That mass: |c| (2), an fsum (1), panels - 1 sums
+    bound = cu_mul(cu_from_float_sum(mass, panels + 2), cu(_up(h * (panels + 1) * ULP)))
+    err = cu_add(_quad_err(curve.modulus, width, panels), bound)
     if tol is not None and err.value > tol and panels >= _PANEL_CAP:
         raise ToleranceUnreachable("tolerance unreachable")
     return value, err
+
+
+def _check_panels(panels: int):
+    if panels < 1:
+        raise InvalidInput("panels must be at least 1")
+    if panels > _PANEL_CAP:
+        raise InvalidInput("panels must be at most %d" % _PANEL_CAP)
 
 
 def _quad_err(modulus: Modulus, width: float, panels: int) -> CertUpper:
@@ -154,61 +176,146 @@ def exp_flow_check(a: L1ZSeq, x: float, y: float, tol: float) -> CertUpper:
 
 @dataclass(frozen=True)
 class CurveMap:
-    """A map from the plane into the algebra with certified regularity.
+    """A map from the plane into the algebra as a finite expansion.
 
-    ``modulus(d)`` bounds ``||fn(z) - fn(w)||`` for ``|z - w| <= d`` on
-    the region of interest; ``sup_norm`` bounds ``||fn||`` there.
+    ``fn(z)`` is ``sum_m terms[m] (z / radius)**m`` plus an element of norm at
+    most ``rem``.  On the region of interest ``lip`` bounds ``||fn(z) -
+    fn(w)|| / |z - w|`` and ``sup_norm`` bounds ``||fn||``.
     """
 
-    fn: Callable[[complex], L1ZSeq]
-    modulus: Modulus
+    terms: Dict[int, L1ZSeq]
+    rem: CertUpper
+    lip: CertUpper
     sup_norm: CertUpper
+    radius: float
+
+    def modulus(self, d: float) -> CertUpper:
+        """Bound on ``||fn(z) - fn(w)||`` for ``|z - w| <= d``."""
+        return cu_mul(self.lip, cu(_up(abs(d))))
+
+    def fn(self, z: complex) -> L1ZSeq:
+        zeta = complex(z) / self.radius
+        parts = (l1z.scale(zeta ** m, t) for m, t in self.terms.items())
+        return l1z.weighted_sum(parts, extra=self.rem)
 
 
 def polynomial_map(coeffs, radius: float) -> CurveMap:
     """Scalar polynomial ``p(z) * unit`` with bounds valid for |z| <= radius.
 
-    ``coeffs[k]`` multiplies ``z**k``.
+    ``coeffs[k]`` multiplies ``z**k``; term ``k`` is ``coeffs[k] radius**k``.
+    The power is carried as a mantissa in [0.5, 1) and a binary exponent, so
+    it cannot underflow before the product.  A nonzero term below the normal
+    range is rejected: its rounding would no longer be relative.  The terms'
+    rounding is the remainder.
     """
-    coeffs = [complex(c) for c in coeffs]
-    mags = [abs(c) for c in coeffs]
-    # per term: |c| and radius ** k, two roundings each, one per product; the fsum, 1
-    sup = cu_from_float_sum(_fsum(m * radius ** k for k, m in enumerate(mags)), 6)
-    lip = cu_from_float_sum(_fsum(k * m * radius ** (k - 1) for k, m in enumerate(mags) if k), 7)
+    if not 0.0 < radius < math.inf:
+        raise InvalidInput("radius must be positive and finite")
+    mant, e = math.frexp(radius)
+    p, pe = 1.0, 0  # radius**k = p 2**pe
+    terms = {}
+    for k, c in enumerate(map(complex, coeffs)):
+        if c:
+            try:
+                t = complex(math.ldexp(c.real, pe) * p, math.ldexp(c.imag, pe) * p)
+            except OverflowError:
+                raise BoundOverflow("bound overflow") from None
+            if not abs(t) >= sys.float_info.min:
+                raise InvalidInput("polynomial term below the normal range at this radius")
+            terms[k] = delta(0, t)
+        p, dp = math.frexp(p * mant)
+        pe += dp + e
+    # per term: p (k - 1 products), times p (1) and a part's subnormal rounding at
+    # either step (2, below u |t| as |t| is normal), so term k is within (k + 2) u
+    # of its value and rem at most 2 len(coeffs) u sup; then |t| (2), the fsum (1)
+    mags = [(k, abs(t.coeffs[0])) for k, t in terms.items()]
+    sup = cu_from_float_sum(_fsum(m for _, m in mags), len(coeffs) + 4)
+    # and k |t| (1), the division by radius (1)
+    lip = cu_from_float_sum(_fsum(k * m for k, m in mags) / radius, len(coeffs) + 6)
+    return CurveMap(terms, cu_mul(sup, cu(len(coeffs) * ULP)), lip, sup, radius)
 
-    def fn(z: complex) -> L1ZSeq:
-        v = 0j
-        for c in reversed(coeffs):
-            v = v * z + c
-        return delta(0, v)
 
-    return CurveMap(fn, lambda d: cu_mul(lip, cu(_up(abs(d)))), sup)
+def _midpoints(steps: int) -> Tuple[float, List[float]]:
+    """Panel width and midpoints of ``steps`` panels of [0, 1], ``steps`` checked first."""
+    _check_panels(steps)
+    h = 1.0 / steps
+    return h, [(i + 0.5) * h for i in range(steps)]
 
 
-def loop_integral(
-    f: CurveMap,
-    gamma: PathLoop,
-    tol: float | None = None,
-    steps: int | None = None,
-) -> Tuple[L1ZSeq, CertUpper]:
-    """Certified integral of ``f`` along the path.
+def _node_powers(f: CurveMap, gamma: PathLoop, ts: List[float], h: float):
+    """Yield ``(0, w)``, then ``(m, w * zeta**m)`` for each other term index of ``f``.
 
-    The integrand ``t -> f(gamma(t)) gamma'(t)`` inherits a modulus from
-    the path's speed and derivative-Lipschitz data, so the midpoint
-    certificate applies unchanged.
+    ``zeta_i = gamma(t_i) / radius`` and ``w_i = h gamma'(t_i)``.  Each power
+    is the one before it times ``zeta`` or ``1 / zeta``, out from ``m = 0``;
+    only the current one is kept.
     """
+    zeta = np.array([gamma.point(t) for t in ts]) / f.radius
+    w = np.array([gamma.derivative(t) for t in ts]) * h
+    yield 0, w
+    inv = np.conj(zeta) / (zeta.real * zeta.real + zeta.imag * zeta.imag)
+    up = range(1, max(f.terms, default=0) + 1)
+    down = range(-1, min(f.terms, default=0) - 1, -1)
+    for factor, ms in ((zeta, up), (inv, down)):
+        p = w
+        for m in ms:
+            p = p * factor
+            if m in f.terms:
+                yield m, p
+
+
+def loop_integral(f: CurveMap, gamma: PathLoop, steps: int) -> Tuple[L1ZSeq, CertUpper]:
+    """Certified midpoint integral of ``f`` along the path, summed term by term.
+
+    With ``zeta_i`` and ``w_i`` as in ``_node_powers`` at the midpoints of
+    ``steps`` panels, the midpoint sum of ``f(z) dz`` is ``sum_m terms[m]
+    S_m``, ``S_m = sum_i w_i zeta_i**m``, plus at most ``rem sum_i |w_i|``
+    from the remainder.  Each ``S_m`` is one ``fsum`` per part; the tail holds
+    the remainder, the terms' tails and the rounding.  The integrand ``t ->
+    f(gamma(t)) gamma'(t)`` inherits a modulus from the path's speed and
+    derivative-Lipschitz data, so ``err`` is the midpoint bound of ``integrate``.
+    """
+    h, ts = _midpoints(steps)
     speed = gamma.speed_upper()
-
-    def integrand(t: float) -> L1ZSeq:
-        return l1z.scale(gamma.derivative(t), f.fn(gamma.point(t)))
 
     def modulus(d: float) -> CertUpper:
         wobble = cu_mul(f.sup_norm, cu_mul(gamma.deriv_lipschitz, cu(_up(abs(d)))))
         drift = cu_mul(speed, f.modulus(_up(speed.value * abs(d))))
         return cu_add(wobble, drift)
 
-    curve = BanachCurve(integrand, modulus)
-    return integrate(curve, 0.0, 1.0, tol=tol, panels=steps)
+    # In units of u: w_i rounds twice (h, the product) and zeta_i once; each step
+    # out from m = 0 is a complex product (3) by zeta (1) or 1 / zeta (4), so
+    # w zeta**m is within 2 + 7|m| of its value from the path's doubles.  Then
+    # S_m's fsums (1), S_m times a coefficient (3) and up to len(terms) - 1 sums
+    # per index (normwise by Minkowski), of sum_i |w_i zeta_i**m| ||terms[m]||;
+    # ULP = 2u covers the second order.  |p| (2) and its fsum (1) bound that sum.
+    acc: Dict[int, complex] = {}
+    bounds = []
+    for m, p in _node_powers(f, gamma, ts, h):
+        weight = cu_from_float_sum(_fsum(np.abs(p).tolist()), 7 * abs(m) + 5)
+        if m == 0:
+            bounds.append(cu_mul(f.rem, weight))
+        t = f.terms.get(m)
+        if t is None:
+            continue
+        s = complex(_fsum(p.real.tolist()), _fsum(p.imag.tolist()))
+        for n, c in t.coeffs.items():
+            acc[n] = acc.get(n, 0j) + s * c
+        rounding = cu_mul(norm_upper(t), cu((7 * abs(m) + len(f.terms) + 5) * ULP))
+        bounds.append(cu_mul(weight, cu_add(t.tail, rounding)))
+    return L1ZSeq(acc, cu_sum(bounds)), _quad_err(modulus, 1.0, steps)
+
+
+def loop_samples(f: CurveMap, gamma: PathLoop, steps: int) -> Tuple[List[float], List[complex]]:
+    """Midpoints ``t_i`` and the unit coefficient of ``f(gamma(t_i)) gamma'(t_i)``.
+
+    Read off the same terms and node powers that ``loop_integral`` sums; a
+    plotting aid, not certified.
+    """
+    h, ts = _midpoints(steps)
+    unit = np.zeros(steps, dtype=complex)
+    for m, p in _node_powers(f, gamma, ts, h):
+        if m in f.terms:
+            unit += f.terms[m].coeffs.get(0, 0j) * p
+    return ts, (unit / h).tolist()
 
 
 def resolvent_eval(u: L1ZSeq, z: complex, tol: float) -> L1ZSeq:
@@ -228,23 +335,31 @@ def resolvent_eval(u: L1ZSeq, z: complex, tol: float) -> L1ZSeq:
 
 
 def resolvent_map(u: L1ZSeq, radius: float, tol: float) -> CurveMap:
-    """Resolvent of ``u`` with bounds valid on the circle of that radius.
+    """Resolvent ``(z - u)^-1 = sum_k u^k z^-(k+1)`` on the circle of that radius.
 
-    Uses the resolvent identity: differences factor through the product
-    of two resolvents, giving a Lipschitz bound ``1 / (R - ||u||)**2``
-    directly between circle points.
+    Term ``m = -(k + 1)`` is ``u^k / radius^(k+1)``, the series cut once at
+    ``|z| = radius`` by ``l1z._series_cut``, whose remainder is ``rem``.  The
+    resolvent identity factors differences through the product of two
+    resolvents: a Lipschitz bound ``1 / (R - ||u||)**2`` between circle points.
     """
+    if not tol > 0.0:
+        raise InvalidInput("tol must be positive")
+    if not math.isfinite(radius):
+        raise InvalidInput("radius must be finite")
     nu = norm_upper(u).value
+    if not radius > nu * (1.0 + 1e-3):
+        raise HypothesisFailure(
+            "radius inside spectrum bound",
+            report={"radius": radius, "norm_bound": nu},
+        )
+    w = 1.0 / radius
+    K, rem = l1z._series_cut(_up(w), nu, lambda k: _up(w), tol, 100_000)
+    terms, t = {}, delta(0, w)
+    for k in range(K + 1):
+        terms[-(k + 1)] = t
+        t = l1z.scale(w, l1z.convolve(t, u))
     gap = radius - nu
-    if gap <= 0.0:
-        raise HypothesisFailure("radius inside spectrum bound")
-    sup = cu(_up(1.0 / gap))
-    lip = cu(_up(1.0 / (gap * gap)))
-    return CurveMap(
-        lambda z: resolvent_eval(u, z, tol),
-        lambda d: cu_mul(lip, cu(_up(abs(d)))),
-        sup,
-    )
+    return CurveMap(terms, cu(rem), cu(_up(1.0 / (gap * gap))), cu(_up(1.0 / gap)), radius)
 
 
 def resolvent_loop_integral(
@@ -255,16 +370,7 @@ def resolvent_loop_integral(
     Contract: the value is ``2*pi*i`` times the unit, within the
     certified error, witnessing that the algebra is nontrivial.
     """
-    if not math.isfinite(radius):
-        raise InvalidInput("radius must be finite")
-    nu = norm_upper(u).value
-    if not radius > nu * (1.0 + 1e-3):
-        raise HypothesisFailure(
-            "radius inside spectrum bound",
-            report={"radius": radius, "norm_bound": nu},
-        )
-    fmap = resolvent_map(u, radius, tol)
-    return loop_integral(fmap, circle_loop(radius), steps=steps)
+    return loop_integral(resolvent_map(u, radius, tol), circle_loop(radius), steps)
 
 
 def mean_value_bound_check(

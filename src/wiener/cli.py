@@ -121,18 +121,12 @@ def invert(input_path, epsilon, target, grid):
 @_envelope
 def resolvent_demo(u_path, radius, steps, tol, trace):
     """Loop integral of the resolvent over a circle: two pi i times the unit."""
-    u = _read(u_path, l1z.loads)
-    value, err = calculus.resolvent_loop_integral(u, radius, steps, tol)
+    fmap = calculus.resolvent_map(_read(u_path, l1z.loads), radius, tol)
+    loop = calculus.circle_loop(radius)
+    value, err = calculus.loop_integral(fmap, loop, steps)
     if trace:
-        fmap = calculus.resolvent_map(u, radius, tol)
-        loop = calculus.circle_loop(radius)
-        lines = ["t,re,im"]
-        h = 1.0 / steps
-        for i in range(steps):
-            t = (i + 0.5) * h
-            z = loop.point(t)
-            sample = fmap.fn(z).coeffs.get(0, 0j) * loop.derivative(t)
-            lines.append("%r,%r,%r" % (t, sample.real, sample.imag))
+        ts, samples = calculus.loop_samples(fmap, loop, steps)
+        lines = ["t,re,im"] + ["%r,%r,%r" % (t, s.real, s.imag) for t, s in zip(ts, samples)]
         _write(trace, "\n".join(lines) + "\n")
     target = l1z.delta(0, 2j * math.pi)
     dev = l1z.norm_upper(l1z.sub(value, target)).value

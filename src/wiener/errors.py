@@ -41,4 +41,9 @@ class CertificationFailure(WienerError):
 
 
 class ToleranceUnreachable(WienerError):
-    """A quadrature tolerance cannot be met within the panel cap."""
+    """A requested tolerance cannot be met within a cap on the work.
+
+    Raised for a quadrature panel count, a series length
+    (``l1z._series_cut``, so ``neumann_invert`` too) and the node count of
+    ``l1r.convolve``.
+    """

@@ -2,8 +2,10 @@
 
 import cmath
 import math
+import sys
 
 import mpmath
+import numpy as np
 import pytest
 
 from wiener import calculus, inversion, l1z
@@ -14,11 +16,11 @@ from wiener.calculus import (
     lipschitz_curve,
     polynomial_map,
 )
-from wiener.certs import cu
+from wiener.certs import cu, cu_add, cu_mul
 from wiener.errors import HypothesisFailure, InvalidInput, ToleranceUnreachable
 from wiener.l1z import L1ZSeq, delta
 
-from conftest import mpc
+from conftest import mp_abs_sum, mpc
 
 
 def scalar_curve(fn, lip):
@@ -28,7 +30,7 @@ def scalar_curve(fn, lip):
 
 def test_path_loop_rejects_open_loop():
     with pytest.raises(InvalidInput):
-        calculus.PathLoop(lambda t: t, lambda t: 1.0, cu(0.0), True)
+        calculus.PathLoop(lambda t: t, lambda t: 1.0, cu(0.0))
 
 
 def test_circle_loop_geometry():
@@ -128,10 +130,47 @@ def test_polynomial_map_eval_and_bounds():
     assert pm.modulus(0.1).value >= 8.0 * 0.1
 
 
+# radius ** k underflows before the product: the first certified sup 0 for a
+# true sup of 1e-30; the second's only term, 1e-330, is below the normal range.
+# The third scales a subnormal coefficient up to 1e-300.
+_UNDERFLOW = [
+    ([0.0] * 33 + [1e300], 1e-10, False),
+    ([0, 0, 0, 1.0], 1e-110, True),
+    ([0.0, 1e-320j], 1e20, False),
+]
+
+
+@pytest.mark.parametrize("coeffs, radius, below_normal", _UNDERFLOW,
+                         ids=["1e-30", "1e-330", "subnormal-coefficient"])
+def test_polynomial_map_bounds_cover_underflowing_powers(coeffs, radius, below_normal):
+    r = mpmath.mpf(radius)
+    sup = mpmath.fsum(abs(mpc(complex(c))) * r ** k for k, c in enumerate(coeffs))
+    lip = mpmath.fsum(k * abs(mpc(complex(c))) * r ** (k - 1) for k, c in enumerate(coeffs) if k)
+    assert (sup < sys.float_info.min) == below_normal
+    if below_normal:
+        with pytest.raises(InvalidInput):
+            polynomial_map(coeffs, radius)
+        return
+    pm = polynomial_map(coeffs, radius)
+    # within 1e-12 relative, and the subnormal cushion of 1e-307 below 1e-300
+    assert sup <= pm.sup_norm.value <= sup * (1 + 1e-12) + 2e-307
+    assert lip <= pm.lip.value <= lip * (1 + 1e-12) + 2e-307
+
+
 def test_loop_integral_of_polynomial_vanishes():
     pm = polynomial_map([0.5, 1.0, -0.25, 0.125j], radius=1.0)
     value, err = calculus.loop_integral(pm, circle_loop(1.0), steps=4096)
     assert l1z.norm_upper(value).value <= err.value
+
+
+def test_polynomial_loop_tail_covers_rounding():
+    # the exact midpoint sum of z^k dz over 64 nodes of a circle is 0 for k < 63,
+    # so the finite part is rounding alone and must sit within the tail
+    rng = np.random.default_rng(5)
+    for radius in (0.5, 1.0, 3.0):
+        coeffs = [complex(*rng.normal(size=2)) for _ in range(12)]
+        value, _ = calculus.loop_integral(polynomial_map(coeffs, radius), circle_loop(radius), steps=64)
+        assert mp_abs_sum(value.coeffs.values()) <= value.tail.value <= 1e-6
 
 
 def test_resolvent_eval_scalar_oracle():
@@ -165,6 +204,78 @@ def test_resolvent_loop_integral_is_2pii_unit():
     dev = l1z.norm_upper(l1z.sub(value, delta(0, 2j * math.pi))).value
     assert dev <= err.value
     assert err.value <= 0.05
+
+
+def _per_panel_reference(u, radius, tol, panels):
+    """The loop integral as ``integrate`` over panels, one resolvent series per node."""
+    fmap = calculus.resolvent_map(u, radius, tol)
+    loop = circle_loop(radius)
+    speed = loop.speed_upper()
+
+    def modulus(d):
+        wobble = cu_mul(fmap.sup_norm, cu_mul(loop.deriv_lipschitz, cu(d)))
+        return cu_add(wobble, cu_mul(speed, fmap.modulus(speed.value * d)))
+
+    def value(t):
+        return l1z.scale(loop.derivative(t), calculus.resolvent_eval(u, loop.point(t), tol))
+
+    return calculus.integrate(BanachCurve(value, modulus), 0.0, 1.0, panels=panels)
+
+
+@pytest.mark.parametrize("u", [delta(1), L1ZSeq({-1: 0.1, 0: 0.2, 1: 0.3j})], ids=["delta1", "3-term"])
+def test_loop_integral_matches_per_panel_reference(u):
+    value, err = calculus.resolvent_loop_integral(u, 2.0, 256, 1e-6)
+    ref, ref_err = _per_panel_reference(u, 2.0, 1e-6, 256)
+    dist = l1z.norm_upper(l1z.sub(L1ZSeq(value.coeffs), L1ZSeq(ref.coeffs))).value
+    tails = value.tail.value + ref.tail.value
+    assert dist <= tails + err.value + ref_err.value
+    # the same midpoint sum at the same nodes: apart by the tails and roundoff only
+    assert dist <= tails + 1e-12
+
+
+def test_resolvent_demo_input_against_exact_midpoint_sum():
+    # the golden resolvent-demo input: u = delta(1), radius 2, 256 panels.  With
+    # e_i = exp(2 pi i t_i), coefficient n of the exact midpoint sum of
+    # (z - u)^-1 dz is (2 pi i / 256) 2^-n sum_i e_i^-n; past `cut` the
+    # coefficients sum to at most 4 pi 2^-cut
+    value, err = calculus.resolvent_loop_integral(delta(1), 2.0, 256, 1e-6)
+    steps, cut = 256, 64
+    inv = [mpmath.expjpi(-mpmath.mpf(2 * i + 1) / steps) for i in range(steps)]
+    powers, exact = [mpmath.mpc(1)] * steps, []
+    for n in range(cut):
+        exact.append(2j * mpmath.pi / steps * mpmath.mpf(2) ** -n * mpmath.fsum(powers))
+        powers = [p * x for p, x in zip(powers, inv)]
+    assert set(value.coeffs) <= set(range(cut))
+    dist = mpmath.fsum(abs(exact[n] - mpc(value.coeffs.get(n, 0j))) for n in range(cut))
+    dist += 4 * mpmath.pi * mpmath.mpf(2) ** -cut
+    assert dist <= value.tail.value
+    dev = l1z.norm_upper(l1z.sub(value, delta(0, 2j * math.pi))).value
+    assert dev <= err.value
+
+
+def test_loop_integral_checks_steps_before_any_node():
+    calls = []
+    loop = calculus.PathLoop(lambda t: calls.append(t) or 1j, lambda t: calls.append(t) or 0j, cu(0.0))
+    calls.clear()
+    pm = polynomial_map([1.0], 1.0)
+    cases = ((0, "panels must be at least 1"), (calculus._PANEL_CAP + 1, "panels must be at most 4194304"))
+    for steps, message in cases:
+        with pytest.raises(InvalidInput, match=message):
+            calculus.loop_integral(pm, loop, steps)
+    assert calls == []
+
+
+def test_loop_samples_read_the_terms():
+    # the trace's samples are the unit coefficient of f(gamma(t)) gamma'(t)
+    u = L1ZSeq({-1: 0.1, 0: 0.2, 1: 0.3j})
+    fmap, loop = calculus.resolvent_map(u, 2.0, 1e-9), circle_loop(2.0)
+    ts, samples = calculus.loop_samples(fmap, loop, 64)
+    assert len(ts) == len(samples) == 64
+    for t, s in zip(ts[::7], samples[::7]):
+        z = loop.point(t)
+        want = calculus.resolvent_eval(u, z, 1e-9).coeffs[0] * loop.derivative(t)
+        assert abs(s - want) <= 1e-12
+        assert abs(fmap.fn(z).coeffs[0] * loop.derivative(t) - want) <= 1e-12
 
 
 def test_resolvent_loop_integral_rejects_small_radius():
