@@ -38,12 +38,15 @@ Modulus = Callable[[float], CertUpper]
 class PathLoop:
     """Parametrized differentiable path in the plane on [0, 1].
 
-    ``deriv_lipschitz`` bounds ``|gamma'(s) - gamma'(t)| / |s - t|`` and
-    is what certifies Riemann sums along the path.
+    ``point`` and ``derivative`` map an ndarray of parameters to an ndarray of
+    values, and a float to a value: a loop integral calls each once on its
+    node array, so a closure built on ``math.cos`` cannot serve.
+    ``deriv_lipschitz`` bounds ``|gamma'(s) - gamma'(t)| / |s - t|`` and is what
+    certifies Riemann sums along the path.
     """
 
-    point: Callable[[float], complex]
-    derivative: Callable[[float], complex]
+    point: Callable
+    derivative: Callable
     deriv_lipschitz: CertUpper
 
     def __post_init__(self):
@@ -51,23 +54,28 @@ class PathLoop:
             raise InvalidInput("loop endpoints do not match")
 
     def speed_upper(self) -> CertUpper:
-        """Certified sup of ``|gamma'|``: grid max plus Lipschitz slack."""
+        """Certified sup of ``|gamma'|``: grid max plus Lipschitz slack.
+
+        Each modulus is Python's ``abs`` (``hypot``, within the ``_up``); numpy's
+        complex modulus rounds otherwise in the last bit, which would move the
+        certified numbers.
+        """
         h = 1.0 / (_SPEED_SAMPLES - 1)
-        m = max(abs(self.derivative(i * h)) for i in range(_SPEED_SAMPLES))
+        m = max(map(abs, self.derivative(np.arange(_SPEED_SAMPLES) * h).tolist()))
         return cu_add(cu(_up(m)), cu_mul(self.deriv_lipschitz, cu(h / 2.0)))
 
 
-def circle_loop(radius: float, center: complex = 0j) -> PathLoop:
-    """The circle of given radius, traversed once counterclockwise."""
+def circle_loop(radius: float) -> PathLoop:
+    """The circle of given radius about 0, traversed once counterclockwise."""
     if not radius > 0.0:
         raise InvalidInput("radius must be positive")
     w = 2.0 * math.pi
 
-    def point(t: float) -> complex:
-        return center + radius * complex(math.cos(w * t), math.sin(w * t))
+    def point(t):
+        return radius * (np.cos(w * t) + 1j * np.sin(w * t))
 
-    def derivative(t: float) -> complex:
-        return radius * w * complex(-math.sin(w * t), math.cos(w * t))
+    def derivative(t):
+        return radius * w * (-np.sin(w * t) + 1j * np.cos(w * t))
 
     return PathLoop(point, derivative, cu(_up(radius * w * w)))
 
@@ -234,22 +242,22 @@ def polynomial_map(coeffs, radius: float) -> CurveMap:
     return CurveMap(terms, cu_mul(sup, cu(len(coeffs) * ULP)), lip, sup, radius)
 
 
-def _midpoints(steps: int) -> Tuple[float, List[float]]:
+def _midpoints(steps: int) -> Tuple[float, np.ndarray]:
     """Panel width and midpoints of ``steps`` panels of [0, 1], ``steps`` checked first."""
     _check_panels(steps)
     h = 1.0 / steps
-    return h, [(i + 0.5) * h for i in range(steps)]
+    return h, (np.arange(steps) + 0.5) * h
 
 
-def _node_powers(f: CurveMap, gamma: PathLoop, ts: List[float], h: float):
+def _node_powers(f: CurveMap, gamma: PathLoop, ts: np.ndarray, h: float):
     """Yield ``(0, w)``, then ``(m, w * zeta**m)`` for each other term index of ``f``.
 
     ``zeta_i = gamma(t_i) / radius`` and ``w_i = h gamma'(t_i)``.  Each power
     is the one before it times ``zeta`` or ``1 / zeta``, out from ``m = 0``;
     only the current one is kept.
     """
-    zeta = np.array([gamma.point(t) for t in ts]) / f.radius
-    w = np.array([gamma.derivative(t) for t in ts]) * h
+    zeta = gamma.point(ts) / f.radius
+    w = gamma.derivative(ts) * h
     yield 0, w
     inv = np.conj(zeta) / (zeta.real * zeta.real + zeta.imag * zeta.imag)
     up = range(1, max(f.terms, default=0) + 1)
@@ -315,7 +323,7 @@ def loop_samples(f: CurveMap, gamma: PathLoop, steps: int) -> Tuple[List[float],
     for m, p in _node_powers(f, gamma, ts, h):
         if m in f.terms:
             unit += f.terms[m].coeffs.get(0, 0j) * p
-    return ts, (unit / h).tolist()
+    return ts.tolist(), (unit / h).tolist()
 
 
 def resolvent_eval(u: L1ZSeq, z: complex, tol: float) -> L1ZSeq:

@@ -72,7 +72,7 @@ def _envelope(body):
         except WienerError as exc:
             status, code = next((s, c) for cls, s, c in _FAILURES if isinstance(exc, cls))
             log = [str(exc)]
-            report = _jsonable_report(getattr(exc, "report", {}))
+            report = _jsonable_report(exc.report)
             if report:
                 log.append("report: %s" % json.dumps(report, sort_keys=True))
         try:

@@ -6,7 +6,15 @@ certification failures exit 2, malformed input exits 3.
 
 
 class WienerError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    Carries a ``report`` dict, empty unless the raiser records the
+    quantities behind the failure.
+    """
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report or {}
 
 
 class InvalidInput(WienerError):
@@ -20,12 +28,8 @@ class BoundOverflow(WienerError):
 class HypothesisFailure(WienerError):
     """A precondition of a certified operation could not be established.
 
-    Carries an optional ``report`` dict with the quantities that failed.
+    ``report`` holds the quantities that failed.
     """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report or {}
 
 
 class CertificationFailure(WienerError):
@@ -34,10 +38,6 @@ class CertificationFailure(WienerError):
     Distinct from HypothesisFailure: the input may well be fine, the
     search simply hit its cap.  ``report`` records the best attempt.
     """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report or {}
 
 
 class ToleranceUnreachable(WienerError):

@@ -32,6 +32,7 @@ from .certs import (
     CertUpper,
     certify_min_modulus,
     cu,
+    cu_abs,
     cu_add,
     cu_cross,
     cu_from_float_sum,
@@ -224,11 +225,7 @@ def translate(f: PLFunction, x: float) -> PLFunction:
 
 def scale_fn(c: complex, f: PLFunction) -> PLFunction:
     c = complex(c)
-    return PLFunction(
-        f.breakpoints,
-        c * f.values,
-        cu_mul(cu(_up(abs(c))), f.l1_slack),
-    )
+    return PLFunction(f.breakpoints, c * f.values, cu_mul(cu_abs(c), f.l1_slack))
 
 
 def add_fn(f: PLFunction, g: PLFunction) -> PLFunction:
@@ -237,15 +234,30 @@ def add_fn(f: PLFunction, g: PLFunction) -> PLFunction:
     vals = evaluate(f, bp) + evaluate(g, bp)
     vals[0] = 0.0
     vals[-1] = 0.0
-    # interpolation roundoff, spread over the local spacing
-    spacing = float(np.max(np.diff(bp)))
-    rnd = 16.0 * ULP * float(np.sum(np.abs(vals))) * spacing
-    slack = cu_add(cu_add(f.l1_slack, g.l1_slack), cu(_up(rnd)))
+    slack = cu_add(cu_add(f.l1_slack, g.l1_slack), _interp_roundoff(bp, f, g))
     return PLFunction(bp, vals, slack)
 
 
 def sub_fn(f: PLFunction, g: PLFunction) -> PLFunction:
     return add_fn(f, scale_fn(-1.0, g))
+
+
+def _interp_roundoff(nodes: np.ndarray, *fs: PLFunction) -> CertUpper:
+    """Certified L1 norm of the rounding in the sum of ``evaluate(f, nodes)`` over ``fs``.
+
+    ``np.interp`` gives a part at ``x`` in ``[x_j, x_(j+1)]`` as ``s (x - x_j) +
+    a``, ``s = (b - a) / (x_(j+1) - x_j)``, where ``a`` and ``b`` are the part at
+    the ends.  In units of ``u = 2**-53``: ``s (x - x_j)`` is within 5 (the two
+    differences, the division, the product) of ``(b - a) theta``, which is at
+    most ``2 M``, ``M = max(|a|, |b|)``; adding ``a`` costs 1 of ``M`` and the sum
+    over ``fs`` 1 of each ``M``.  A part is at most the modulus, so a node is off
+    by at most ``12 sqrt(2) u sum_f max |f|``, with the second order below ``9
+    ULP``.  The rounding is linear between nodes, so its L1 norm is at most that
+    times the nodes' span.  That product rounds in ``|f|`` (2), the sum over
+    ``fs`` (``len(fs) - 1``), the span (1) and the product (1).
+    """
+    total = sum(float(np.max(np.abs(f.values))) for f in fs) * float(nodes[-1] - nodes[0])
+    return cu_mul(cu_from_float_sum(total, len(fs) + 3), cu(9 * ULP))
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +276,8 @@ def _resample_uniform(f: PLFunction, h: float) -> PLFunction:
     vals = evaluate(f, bp)
     vals[0] = 0.0
     vals[-1] = 0.0
-    err = _up(0.25 * h * h * _slope_variation(f))
-    rnd = 16.0 * ULP * float(np.sum(np.abs(vals))) * h
-    return PLFunction(bp, vals, cu_add(f.l1_slack, cu(_up(err + rnd))))
+    err = cu(_up(0.25 * h * h * _slope_variation(f)))
+    return PLFunction(bp, vals, cu_add(cu_add(f.l1_slack, err), _interp_roundoff(bp, f)))
 
 
 def _fast_conv(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, float]:

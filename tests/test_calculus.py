@@ -265,12 +265,39 @@ def test_loop_integral_checks_steps_before_any_node():
     assert calls == []
 
 
+def test_loop_integral_calls_its_path_a_fixed_number_of_times():
+    # each closure maps the whole node array at once, whatever the step count
+    plain = circle_loop(2.0)
+    calls = {"point": 0, "derivative": 0}
+
+    def counted(name):
+        def fn(t):
+            calls[name] += 1
+            return getattr(plain, name)(t)
+        return fn
+
+    loop = calculus.PathLoop(counted("point"), counted("derivative"), plain.deriv_lipschitz)
+    fmap = calculus.resolvent_map(delta(1), 2.0, 1e-6)
+    seen = []
+    for steps in (64, 4096):
+        calls.update(point=0, derivative=0)
+        value, err = calculus.loop_integral(fmap, loop, steps)
+        seen.append(dict(calls))
+        want, want_err = calculus.loop_integral(fmap, plain, steps)
+        assert value.coeffs == want.coeffs and value.tail == want.tail and err == want_err
+    assert seen[0] == seen[1]
+    assert max(seen[0].values()) <= 3
+
+
 def test_loop_samples_read_the_terms():
     # the trace's samples are the unit coefficient of f(gamma(t)) gamma'(t)
     u = L1ZSeq({-1: 0.1, 0: 0.2, 1: 0.3j})
     fmap, loop = calculus.resolvent_map(u, 2.0, 1e-9), circle_loop(2.0)
     ts, samples = calculus.loop_samples(fmap, loop, 64)
     assert len(ts) == len(samples) == 64
+    # Python scalars, which the CLI's trace prints with %r
+    assert type(ts) is list and all(type(t) is float for t in ts)
+    assert type(samples) is list and all(type(s) is complex for s in samples)
     for t, s in zip(ts[::7], samples[::7]):
         z = loop.point(t)
         want = calculus.resolvent_eval(u, z, 1e-9).coeffs[0] * loop.derivative(t)

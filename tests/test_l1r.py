@@ -209,6 +209,23 @@ def test_add_sub_triangle_inequality(rng):
     assert l1r.norm_l1(d).value <= 1e-9
 
 
+def test_sub_fn_covers_interpolation_roundoff_under_cancellation():
+    # g is f with an extra node x in (0, 1) holding the correctly rounded v (1 - x),
+    # so f - g is a triangle on [0, 1] of height f(x) - g(x), the interpolation's
+    # rounding at x alone: ||f - g||_1 = |v (1 - x) - g(x)| / 2 exactly
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        x = float(rng.uniform(0.01, 0.99))
+        v = complex(*rng.standard_normal(2))
+        with mpmath.workprec(200):
+            at_x = mpc(v) * (1 - mpmath.mpf(x))
+            gx = complex(float(at_x.real), float(at_x.imag))
+            exact = abs(at_x - mpc(gx)) / 2
+        f = PLFunction([-1.0, 0.0, 1.0], [0, v, 0])
+        g = PLFunction([-1.0, 0.0, x, 1.0], [0, v, gx, 0])
+        assert exact <= l1r.norm_l1(l1r.sub_fn(f, g)).value, (x, v)
+
+
 def test_convolve_triangles_against_fine_grid(rng):
     f = triangle(0.0, 1.0, 1.0)
     g = triangle(0.5, 0.7, 1.0)
