@@ -167,7 +167,7 @@ def banach_exp(a: L1ZSeq, tol: float) -> L1ZSeq:
     """Power-series exponential with the remainder certified into the tail."""
     if not tol > 0.0:
         raise InvalidInput("tol must be positive")
-    return l1z.power_series(delta(0), a, lambda k: 1.0 / k, tol, 5000)[0]
+    return l1z.power_series(delta(0), a, norm_upper(a).value, lambda k: 1.0 / k, tol, 5000)[0]
 
 
 def exp_flow_check(a: L1ZSeq, x: float, y: float, tol: float) -> CertUpper:
@@ -339,7 +339,7 @@ def resolvent_eval(u: L1ZSeq, z: complex, tol: float) -> L1ZSeq:
             report={"abs_z": az, "norm_bound": nu},
         )
     w = 1.0 / z
-    return l1z.power_series(delta(0, w), u, lambda k: w, tol, 100_000)[0]
+    return l1z.power_series(delta(0, w), u, nu, lambda k: w, tol, 100_000)[0]
 
 
 def resolvent_map(u: L1ZSeq, radius: float, tol: float) -> CurveMap:

@@ -47,10 +47,14 @@ class InversionCertificate:
 def _conv_roundoff(a: L1ZSeq, b: L1ZSeq) -> CertUpper:
     """Envelope for the deviation of floating convolution from the true one.
 
-    Each output coefficient is a sum of at most ``min(m_a, m_b)``
-    products; summed over all outputs the error stays below this bound.
+    Within a pair of blocks of lengths ``m_a`` and ``m_b``, ``np.convolve``
+    sums at most ``min(m_a, m_b)`` products into an output coefficient; the
+    pieces of the ``P`` block pairs are then added one by one.  Each product
+    so goes through at most ``max min(m_a, m_b) + P - 2`` additions; summed
+    over all outputs the error stays below this bound.
     """
-    m = min(len(a.coeffs), len(b.coeffs)) + 4
+    dots = [min(x.size, y.size) for _, x in a.blocks for _, y in b.blocks]
+    m = max(dots, default=0) + max(len(dots), 1) + 3
     return cu_mul(cu(4.0 * ULP * m), cu_mul(norm_upper(a), norm_upper(b)))
 
 
@@ -75,7 +79,7 @@ def neumann_invert(x: L1ZSeq, target: float) -> Tuple[L1ZSeq, InversionCertifica
             "Neumann hypothesis fails: ||1 - x|| >= 1",
             report={"rho": rho.value},
         )
-    inverse, terms = l1z.power_series(delta(0), y, lambda k: 1.0, target, 10_000)
+    inverse, terms = l1z.power_series(delta(0), y, rho.value, lambda k: 1.0, target, 10_000)
     cert = InversionCertificate(
         witness=inverse,
         residual=residual_norm(x, inverse),
@@ -107,15 +111,15 @@ def _circle_sampler(f: L1ZSeq):
 
     One FFT of the coefficients folded mod n (at most ``ceil(span / n)``
     to a bucket); every point of the circle is within an arc ``pi / n``.
-    Indices stay Python ints until folded, so any index folds exactly.
+    A block's offset is folded as a Python int, so any index folds exactly.
     """
-    keys = np.array(list(f.coeffs), dtype=object)
-    c = np.fromiter(f.coeffs.values(), dtype=complex, count=keys.size)
+    c = l1z._flat(f)[0]
     mass = float(np.sum(np.abs(c)))
     lo, hi = f.support()
 
     def sample(n: int):
-        j = (keys % n).astype(np.int64)
+        j = np.concatenate([np.arange(o % n, o % n + x.size) for o, x in f.blocks]
+                           or [np.arange(0)]) % n
         x = np.empty(n, dtype=complex)
         x.real = np.bincount(j, weights=c.real, minlength=n)
         x.imag = np.bincount(j, weights=c.imag, minlength=n)
@@ -141,7 +145,7 @@ def circle_min_modulus_certify(
         raise InvalidInput("grid size must lie in [8, %d]" % _GRID_CAP)
     if not eps > 0.0:
         raise InvalidInput("eps must be positive")
-    L = l1z.circle_lipschitz_upper(L1ZSeq(f.coeffs)).value
+    L = l1z.circle_lipschitz_upper(L1ZSeq(f.blocks)).value
     report = certs.certify_min_modulus(_circle_sampler(f), L, eps, N, _GRID_CAP)
     return report["ok"], report
 
@@ -184,10 +188,10 @@ def wiener_invert(
     best_rho = math.inf
     while M <= _GRID_CAP:
         coeff = np.fft.fft(1.0 / sample(M)[1]) / M
-        j = np.flatnonzero(np.abs(coeff) > budget / M)
-        n = np.where(j <= M // 2, j, j - M)
-        h = l1z.truncate(L1ZSeq(dict(zip(n.tolist(), coeff[j].tolist()))), budget)
-        h = L1ZSeq(h.coeffs)
+        coeff[~(np.abs(coeff) > budget / M)] = 0.0
+        # circular index j <= M/2 is n = j, a larger one n = j - M
+        h = l1z.from_dense(1 - M // 2, np.concatenate((coeff[M // 2 + 1:], coeff[:M // 2 + 1])))
+        h = L1ZSeq(l1z.truncate(h, budget).blocks)
         rho = residual_norm(f, h)
         if rho.value <= target:
             params = {"grid": report["N"], "degree": M, "target": target, "eps": eps}

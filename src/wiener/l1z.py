@@ -1,17 +1,30 @@
 """The convolution algebra of two-sided absolutely summable sequences.
 
-Elements are represented by a finite-support coefficient map plus a
-certified tail bound: an :class:`L1ZSeq` stands for the set of all true
+Elements are represented by finitely many coefficients plus a certified
+tail bound: an :class:`L1ZSeq` stands for the set of all true
 sequence-space elements within ``tail`` of the finite part in the
 one-norm.  All operations keep that reading sound.
+
+The coefficients are stored as blocks: a sorted tuple of ``(offset,
+values)`` pairs, ``values`` a read-only complex array holding the
+coefficients at ``offset, offset + 1, ...``.  A block starts and ends on a
+nonzero coefficient, and a new one starts wherever more than ``_GAP``
+zeros separate two nonzero coefficients, so the blocks of an element are
+fixed by its nonzero set, and an index such as ``2**70`` stays an exact
+Python int offset.  Every operation works on the arrays; products take
+one ``np.convolve`` per pair of blocks.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Tuple
+from functools import cached_property
+from itertools import accumulate, chain
+from types import MappingProxyType
+from typing import Callable, Iterable, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,37 +45,41 @@ from .certs import (
 )
 from .errors import BoundOverflow, InvalidInput, ToleranceUnreachable
 
-# dense numpy convolution pays off once the double loop gets this big, and while
-# its span-by-span work stays within the ratio where the two paths time alike
-_DENSE_CONV_THRESHOLD = 10_000
-_DENSE_SPAN_RATIO = 256
+#: longest run of zero coefficients kept inside a block; one past it starts a new block
+_GAP = 64
 
 _CIRCLE_TOL = 1e-12
+
+Block = Tuple[int, np.ndarray]
 
 
 @dataclass(frozen=True)
 class L1ZSeq:
-    """Finite-support coefficient map ``n -> a_n`` plus a tail bound."""
+    """Coefficient blocks plus a tail bound.
 
-    coeffs: Dict[int, complex]
+    ``blocks`` is either the canonical tuple built by this module or a
+    mapping ``n -> a_n``, which is validated and split into blocks.
+    """
+
+    blocks: Union[Tuple[Block, ...], Mapping[int, complex]]
     tail: CertUpper = field(default=CU_ZERO)
 
     def __post_init__(self):
-        clean = {}
-        for n, c in self.coeffs.items():
-            c = complex(c)
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise InvalidInput("NaN coefficient" if c != c else "non-finite coefficient")
-            if c != 0:
-                clean[int(n)] = c
-        object.__setattr__(self, "coeffs", clean)
+        if not isinstance(self.blocks, tuple):
+            object.__setattr__(self, "blocks", _from_mapping(self.blocks))
+
+    @cached_property
+    def coeffs(self) -> Mapping[int, complex]:
+        """Read-only map of the nonzero coefficients, by increasing index."""
+        return MappingProxyType({n: c for o, x in self.blocks
+                                 for n, c in zip(range(o, o + x.size), x.tolist()) if c})
 
     def support(self) -> Tuple[int, int]:
         """(min index, max index); (0, 0) for the zero element."""
-        if not self.coeffs:
+        if not self.blocks:
             return (0, 0)
-        ks = self.coeffs.keys()
-        return (min(ks), max(ks))
+        (lo, _), (o, x) = self.blocks[0], self.blocks[-1]
+        return (lo, o + x.size - 1)
 
     def __eq__(self, other):
         if not isinstance(other, L1ZSeq):
@@ -70,70 +87,155 @@ class L1ZSeq:
         return self.coeffs == other.coeffs and self.tail == other.tail
 
 
+def _split(buf: np.ndarray, starts: Sequence[int], pos: Sequence[int]) -> Tuple[Block, ...]:
+    """Canonical blocks of ``buf``, whose part ``pos[c]:pos[c + 1]`` sits at ``starts[c]``.
+
+    The one finiteness check of every array an element holds.  Parts are
+    nonempty and more than ``_GAP`` indices apart, so blocks end at part
+    boundaries as well as at runs of more than ``_GAP`` zeros.
+    """
+    if np.count_nonzero(np.isfinite(buf)) != buf.size:
+        raise InvalidInput("NaN coefficient" if np.isnan(buf).any() else "non-finite coefficient")
+    if 0 < np.count_nonzero(buf) == buf.size:  # no zero: each part is a block
+        first, last = pos[:-1], pos[1:]
+        if len(first) == 1:
+            buf.setflags(write=False)
+            return ((starts[0], buf),)
+    else:
+        nz = (buf != 0).nonzero()[0]
+        if nz.size == 0:
+            return ()
+        far = nz[1:] - nz[:-1] > _GAP + 1
+        if len(pos) > 2:
+            at = np.searchsorted(nz, pos[1:-1])  # first nonzero of each later part
+            far[at[(at > 0) & (at < nz.size)] - 1] = True
+        cut = far.nonzero()[0]
+        first = [int(nz[0])] + nz[cut + 1].tolist()
+        last = (nz[cut] + 1).tolist() + [int(nz[-1]) + 1]
+    out = []
+    for s, e in zip(first, last):
+        c = bisect_right(pos, s) - 1
+        x = buf[s:e].copy()
+        x.setflags(write=False)
+        out.append((starts[c] + s - pos[c], x))
+    return tuple(out)
+
+
+def _clustered(pieces: Sequence[Block]) -> Tuple[Block, ...]:
+    """Blocks of the sum of ``pieces`` ``(offset, values)``, added in the given order.
+
+    Pieces within ``_GAP`` of each other share a zeroed buffer, into which
+    each is added in turn; a lone piece is taken as it is.
+    """
+    if not pieces:
+        return ()
+    if len(pieces) == 1:
+        o, x = pieces[0]
+        return _split(x, [o], [0, x.size])
+    starts, ends, member = [], [], [0] * len(pieces)
+    for i in sorted(range(len(pieces)), key=lambda i: pieces[i][0]):
+        o, x = pieces[i]
+        if not starts or o - ends[-1] > _GAP:
+            starts.append(o)
+            ends.append(o + x.size)
+        else:
+            ends[-1] = max(ends[-1], o + x.size)
+        member[i] = len(starts) - 1
+    pos = list(accumulate((e - s for s, e in zip(starts, ends)), initial=0))
+    sizes = [x.size for _, x in pieces]
+    shift = [pos[c] + o - starts[c] - k  # piece's place in buf less its place in the values
+             for (o, _), c, k in zip(pieces, member, accumulate(sizes, initial=0))]
+    buf = np.zeros(pos[-1], dtype=complex)
+    # unbuffered: a value added twice or more is summed in the order of the pieces
+    np.add.at(buf, np.arange(sum(sizes)) + np.repeat(shift, sizes),
+              np.concatenate([x for _, x in pieces]))
+    return _split(buf, starts, pos)
+
+
+def _from_mapping(coeffs: Mapping[int, complex]) -> Tuple[Block, ...]:
+    """Blocks of the coefficients ``n -> c``, each run of keys as one part."""
+    clean = {int(n): complex(c) for n, c in coeffs.items()}
+    if not clean:
+        return ()
+    ns = sorted(clean)
+    runs = [i for i in range(1, len(ns)) if ns[i] - ns[i - 1] > _GAP + 1]
+    starts = [ns[i] for i in [0] + runs]
+    ends = [ns[i - 1] + 1 for i in runs + [len(ns)]]
+    buf = np.array([clean.get(n, 0j) for s, e in zip(starts, ends) for n in range(s, e)],
+                   dtype=complex)
+    return _split(buf, starts, list(accumulate((e - s for s, e in zip(starts, ends)), initial=0)))
+
+
+def _flat(a: L1ZSeq) -> Tuple[np.ndarray, List[int], List[int]]:
+    """All of ``a``'s values in one array, with each block's offset and position."""
+    xs = [x for _, x in a.blocks]
+    flat = np.concatenate(xs) if xs else np.zeros(0, dtype=complex)
+    return flat, [o for o, _ in a.blocks], list(accumulate((x.size for x in xs), initial=0))
+
+
+def _cmul(c: complex, x: np.ndarray) -> np.ndarray:
+    """``c * x`` by elements, rounded as Python's complex product is."""
+    out = np.empty_like(x)
+    out.real = c.real * x.real - c.imag * x.imag
+    out.imag = c.real * x.imag + c.imag * x.real
+    return out
+
+
 def zero() -> L1ZSeq:
-    return L1ZSeq({})
+    return L1ZSeq(())
 
 
 def delta(n: int, c: complex = 1.0) -> L1ZSeq:
     """Single coefficient ``c`` at index ``n``; ``delta(0)`` is the unit."""
-    return L1ZSeq({n: complex(c)})
+    return from_dense(int(n), [complex(c)])
+
+
+def from_dense(lo: int, values: np.ndarray) -> L1ZSeq:
+    """Element with coefficient ``values[k]`` at index ``lo + k`` (a copy)."""
+    values = np.array(values, dtype=complex)
+    return L1ZSeq(_split(values, [lo], [0, values.size]))
 
 
 def add(a: L1ZSeq, b: L1ZSeq) -> L1ZSeq:
-    out = dict(a.coeffs)
-    for n, c in b.coeffs.items():
-        out[n] = out.get(n, 0j) + c
-    return L1ZSeq(out, cu_add(a.tail, b.tail))
+    return L1ZSeq(_clustered(a.blocks + b.blocks), cu_add(a.tail, b.tail))
 
 
 def neg(a: L1ZSeq) -> L1ZSeq:
-    return L1ZSeq({n: -c for n, c in a.coeffs.items()}, a.tail)
+    flat, starts, pos = _flat(a)
+    return L1ZSeq(_split(-flat, starts, pos), a.tail)
 
 
 def sub(a: L1ZSeq, b: L1ZSeq) -> L1ZSeq:
-    return add(a, neg(b))
+    pieces = a.blocks + tuple((o, -x) for o, x in b.blocks)
+    return L1ZSeq(_clustered(pieces), cu_add(a.tail, b.tail))
 
 
 def scale(c: complex, a: L1ZSeq) -> L1ZSeq:
     c = complex(c)
-    return L1ZSeq(
-        {n: c * v for n, v in a.coeffs.items()},
-        cu_mul(cu_abs(c), a.tail),
-    )
+    # cu_abs rejects a NaN (InvalidInput) or infinite (BoundOverflow) scalar
+    if a.tail.value != 0.0 or not (math.isfinite(c.real) and math.isfinite(c.imag)):
+        tail = cu_mul(cu_abs(c), a.tail)
+    else:
+        tail = CU_ZERO
+    flat, starts, pos = _flat(a)
+    return L1ZSeq(_split(_cmul(c, flat), starts, pos), tail)
 
 
 def shift(a: L1ZSeq, k: int) -> L1ZSeq:
     """Multiply by the degree-``k`` monomial: indices move by ``k``."""
-    return L1ZSeq({n + k: c for n, c in a.coeffs.items()}, a.tail)
+    return L1ZSeq(tuple((o + k, x) for o, x in a.blocks), a.tail)
 
 
 def convolve(a: L1ZSeq, b: L1ZSeq) -> L1ZSeq:
-    """Convolution product; tails combine by the subadditive cross bound."""
+    """Convolution product: one ``np.convolve`` per pair of blocks, summed by offset.
+
+    Tails combine by the subadditive cross bound.
+    """
     tail = CU_ZERO
     if a.tail.value != 0.0 or b.tail.value != 0.0:
         tail = cu_cross(a.tail, norm_upper(a), b.tail, norm_upper(b))
-    if not a.coeffs or not b.coeffs:
-        return L1ZSeq({}, tail)
-    lo_a, hi_a = a.support()
-    lo_b, hi_b = b.support()
-    pairs = len(a.coeffs) * len(b.coeffs)
-    dense_work = (hi_a - lo_a + 1) * (hi_b - lo_b + 1)
-    if pairs <= _DENSE_CONV_THRESHOLD or dense_work > _DENSE_SPAN_RATIO * pairs:
-        out: Dict[int, complex] = {}
-        for i, ca in sorted(a.coeffs.items()):
-            for j, cb in sorted(b.coeffs.items()):
-                out[i + j] = out.get(i + j, 0j) + ca * cb
-        return L1ZSeq(out, tail)
-    va = np.zeros(hi_a - lo_a + 1, dtype=complex)
-    vb = np.zeros(hi_b - lo_b + 1, dtype=complex)
-    for n, c in a.coeffs.items():
-        va[n - lo_a] = c
-    for n, c in b.coeffs.items():
-        vb[n - lo_b] = c
-    vc = np.convolve(va, vb)
-    base = lo_a + lo_b
-    out = {base + k: complex(v) for k, v in enumerate(vc) if v != 0}
-    return L1ZSeq(out, tail)
+    pieces = [(o + p, np.convolve(x, y)) for o, x in a.blocks for p, y in b.blocks]
+    return L1ZSeq(_clustered(pieces), tail)
 
 
 def weighted_sum(
@@ -142,15 +244,13 @@ def weighted_sum(
     """``w`` times the sum of ``parts``, accumulated into one element.
 
     The tail is ``|w|`` times the parts' tails plus ``extra``; ``w`` is a
-    real double, so ``|w|`` is exact.
+    real double, so ``|w|`` is exact, and ``w = 1`` multiplies nothing.
     """
-    acc: Dict[int, complex] = {}
-    tails = []
+    pieces, tails = [], []
     for a in parts:
-        for n, c in a.coeffs.items():
-            acc[n] = acc.get(n, 0j) + w * c
+        pieces.extend(a.blocks if w == 1.0 else [(o, _cmul(complex(w), x)) for o, x in a.blocks])
         tails.append(a.tail)
-    return L1ZSeq(acc, cu_add(cu_mul(cu(abs(w)), cu_sum(tails)), extra))
+    return L1ZSeq(_clustered(pieces), cu_add(cu_mul(cu(abs(w)), cu_sum(tails)), extra))
 
 
 def _series_cut(
@@ -177,18 +277,21 @@ def _series_cut(
 def power_series(
     first: L1ZSeq,
     y: L1ZSeq,
+    ny: float,
     step: Callable[[int], complex],
     tol: float,
     cap: int,
 ) -> Tuple[L1ZSeq, int]:
     """Truncated series ``sum t_k``, ``t_0 = first``, ``t_k = step(k) (t_(k-1) * y)``.
 
-    ``|step(k)|`` must not increase with ``k``.  The series is cut at the
-    least ``K <= cap`` whose certified remainder is at most ``tol``
-    (``_series_cut``); that remainder and the terms' tails go into the
-    tail of the result.  Returns the result and the term count ``K + 1``.
+    ``ny`` is a certified ``||y||`` (``norm_upper(y).value``), which the
+    callers hold already.  ``|step(k)|`` must not increase with ``k``.  The
+    series is cut at the least ``K <= cap`` whose certified remainder is at
+    most ``tol`` (``_series_cut``); that remainder and the terms' tails go
+    into the tail of the result.  Returns the result and the term count
+    ``K + 1``.
     """
-    K, rem = _series_cut(norm_upper(first).value, norm_upper(y).value, step, tol, cap)
+    K, rem = _series_cut(norm_upper(first).value, ny, step, tol, cap)
 
     def terms():
         t = first
@@ -202,7 +305,7 @@ def power_series(
 
 def norm_upper(a: L1ZSeq) -> CertUpper:
     """Certified one-norm bound: coefficient mass plus tail."""
-    return cu_add(cu_sum_abs(a.coeffs.values()), a.tail)
+    return cu_add(cu_sum_abs(chain.from_iterable(x.tolist() for _, x in a.blocks)), a.tail)
 
 
 def eval_circle(a: L1ZSeq, lam: complex) -> Tuple[complex, CertUpper]:
@@ -227,7 +330,7 @@ def eval_roundoff_bound(a: L1ZSeq) -> float:
     multiplies plus the accumulation sum stay well inside
     ``8 * (max|n| + m + 2) * ulp * sum|a_n|``; generous by design.
     """
-    if not a.coeffs:
+    if not a.blocks:
         return 0.0
     lo, hi = a.support()
     radius = max(abs(lo), abs(hi))
@@ -244,7 +347,11 @@ def circle_lipschitz_upper(a: L1ZSeq) -> CertUpper:
     if a.tail.value != 0.0:
         raise InvalidInput("lipschitz unavailable for infinite tail")
     # per term: |n| to a float, |c| (hypot) and the product, 4; the fsum, 1
-    return cu_from_float_sum(_fsum(abs(n) * abs(c) for n, c in a.coeffs.items()), 5)
+    return cu_from_float_sum(_fsum(
+        abs(n) * m
+        for o, x in a.blocks
+        for n, m in zip(range(o, o + x.size), map(abs, x.tolist()))
+    ), 5)
 
 
 def truncate(a: L1ZSeq, budget: float) -> L1ZSeq:
@@ -252,23 +359,36 @@ def truncate(a: L1ZSeq, budget: float) -> L1ZSeq:
 
     Dropped mass (certified) is added to the tail, so the result still
     represents everything the input did.  Ties break toward smaller
-    ``|index|``, then the positive index.
+    ``|index|``, then the positive index.  The running sum of the sorted
+    moduli does not depend on how ties are ordered, so the tie-break is
+    taken only among the moduli equal to the last one dropped.
     """
     if not budget > 0.0:
         raise InvalidInput("truncation budget must be positive")
-    order = sorted(
-        a.coeffs.items(),
-        key=lambda item: (abs(item[1]), abs(item[0]), -item[0]),
-    )
-    kept, dropped, total = dict(a.coeffs), CU_ZERO, 0.0
-    for k, (n, c) in enumerate(order, 1):
-        total += abs(c)
-        step = cu_from_float_sum(total, k + 1)  # k moduli (2 roundings) summed in order (k - 1)
+    flat, starts, pos = _flat(a)
+    nz = (flat != 0).nonzero()[0]
+    mods = np.array(list(map(abs, flat[nz].tolist())), dtype=float)
+    ordered = np.sort(mods)
+    dropped, k = CU_ZERO, 0
+    for total in np.cumsum(ordered).tolist():  # sequential, as a running sum
+        step = cu_from_float_sum(total, k + 2)  # k + 1 moduli (2 roundings) summed in order (k)
         if step.value > budget:
             break
-        dropped = step
-        del kept[n]
-    return L1ZSeq(kept, cu_add(a.tail, dropped))
+        dropped, k = step, k + 1
+    if k:
+        edge = ordered[k - 1]
+        drop = nz[mods < edge]
+
+        def key(p):  # (|n|, -n) of the index n at flat position p
+            c = bisect_right(pos, p) - 1
+            n = starts[c] + p - pos[c]
+            return abs(n), -n
+
+        ties = sorted(nz[mods == edge].tolist(), key=key)
+        flat[drop] = 0
+        flat[ties[:k - drop.size]] = 0
+        return L1ZSeq(_split(flat, starts, pos), cu_add(a.tail, dropped))
+    return L1ZSeq(a.blocks, cu_add(a.tail, dropped))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +399,8 @@ def to_jsonable(a: L1ZSeq) -> dict:
     return {
         "coeffs": [
             {"n": n, "re": c.real, "im": c.imag}
-            for n, c in sorted(a.coeffs.items())
+            for o, x in a.blocks
+            for n, c in zip(range(o, o + x.size), x.tolist()) if c
         ],
         "tail": a.tail.value,
     }

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wiener import l1z
-from wiener.certs import CU_ZERO, CertUpper, cu
-from wiener.errors import InvalidInput
+from wiener import inversion, l1z
+from wiener.certs import CU_ZERO, CertUpper, cu, cu_add, cu_from_float_sum, cu_mul, cu_sum
+from wiener.errors import BoundOverflow, InvalidInput
 from wiener.l1z import L1ZSeq, delta
 
 from conftest import mp_abs_sum, mp_seq_conv, mp_seq_norm, mpc, random_seq
@@ -59,27 +59,34 @@ def test_convolve_matches_oracle(a, b):
         assert abs(g - v) <= 1e-9 * (1.0 + abs(v))
 
 
-def test_dense_path_matches_dict_path(rng):
-    # cross the dense-convolution threshold and compare against the oracle
+def _assert_product_within_envelope(a, b, got):
+    # the one-norm error within the certified rounding envelope of the
+    # convolution; returns the oracle's product
+    want = mp_seq_conv(a.coeffs, b.coeffs)
+    err = mpmath.fsum(abs(mpc(got.coeffs.get(n, 0j)) - v) for n, v in want.items())
+    assert err <= inversion._conv_roundoff(a, b).value
+    return want
+
+
+def test_block_convolution_matches_oracle(rng):
+    # 120 of 601 indices: blocks with zero runs inside, one np.convolve per pair
     idx = rng.choice(np.arange(-300, 301), size=120, replace=False)
     a = L1ZSeq({int(k): complex(rng.normal(), rng.normal()) for k in idx})
     idx = rng.choice(np.arange(-300, 301), size=120, replace=False)
     b = L1ZSeq({int(k): complex(rng.normal(), rng.normal()) for k in idx})
-    got = l1z.convolve(a, b)  # 120 * 120 > dense threshold
-    want = mp_seq_conv(a.coeffs, b.coeffs)
-    for n, v in want.items():
-        assert abs(mpc(got.coeffs.get(n, 0j)) - v) <= 1e-9 * (1.0 + abs(v))
+    got = l1z.convolve(a, b)
+    want = _assert_product_within_envelope(a, b, got)
+    assert set(got.coeffs) == {n for n, v in want.items() if v != 0}
 
 
-def test_far_support_convolution_matches_dict_loop():
-    # 102 coefficients reaching 10**6 pass the pair-count test for the dense
-    # path, whose arrays would span 10**12 products; the dict loop is exact
+def test_far_support_convolution_matches_oracle():
+    # 101 dense coefficients and one at 10**6: two blocks, no span-sized array
     a = L1ZSeq({**{n: complex(1.0 / (n + 1), 0.5) for n in range(101)}, 10 ** 6: 0.25j})
-    want = {}
-    for i, ca in sorted(a.coeffs.items()):
-        for j, cb in sorted(a.coeffs.items()):
-            want[i + j] = want.get(i + j, 0j) + ca * cb
-    assert l1z.convolve(a, a) == L1ZSeq(want)
+    assert [o for o, _ in a.blocks] == [0, 10 ** 6]
+    got = l1z.convolve(a, a)
+    want = _assert_product_within_envelope(a, a, got)
+    assert set(got.coeffs) == {n for n, v in want.items() if v != 0}
+    assert {10 ** 6, 2 * 10 ** 6} <= set(got.coeffs)
 
 
 @given(seqs)
@@ -118,6 +125,15 @@ def test_scale_linear(a, c):
     sc = l1z.scale(c, a)
     for n, v in a.coeffs.items():
         assert sc.coeffs.get(n, 0j) == c * v
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, complex(0.0, math.nan), complex(0.0, -math.inf)])
+def test_scale_rejects_non_finite_scalar(c):
+    # with or without a tail to scale, and with or without coefficients
+    want = InvalidInput if cmath.isnan(c) else BoundOverflow
+    for a in (l1z.zero(), delta(3, 0.5)):
+        with pytest.raises(want):
+            l1z.scale(c, a)
 
 
 def test_linear_ops():
@@ -188,6 +204,24 @@ def test_truncate_is_sound_and_budgeted():
     assert 0 in t.coeffs and 3 in t.coeffs
 
 
+def test_truncate_tie_break_prefers_small_then_positive_index():
+    a = L1ZSeq({-2: 1.0, -1: 1j, 0: 8.0, 1: -1.0, 2: -1j})
+    # k unit moduli certify at k (1 + O(ulp)): each budget drops k of the ties
+    for budget, dropped in ((1.5, {1}), (2.5, {1, -1}), (3.5, {1, -1, 2})):
+        assert set(l1z.truncate(a, budget).coeffs) == {-2, -1, 0, 1, 2} - dropped
+
+
+def test_block_boundaries_at_the_gap():
+    # at most _GAP zeros stay inside a block and one more starts a new one,
+    # whichever operation builds the element
+    g = l1z._GAP
+    for n, count in ((g + 1, 1), (g + 2, 2)):
+        pair = L1ZSeq({0: 1.0, n: 1.0})
+        for r in (pair, l1z.add(delta(0), delta(n)), l1z.convolve(delta(0), pair),
+                  l1z.truncate(L1ZSeq({0: 1.0, 1: 1e-20, n: 1.0}), 1e-10)):
+            assert len(r.blocks) == count and set(r.coeffs) == {0, n}
+
+
 def test_truncate_rejects_nonpositive_budget():
     with pytest.raises(InvalidInput):
         l1z.truncate(delta(0), 0.0)
@@ -219,3 +253,115 @@ def test_json_rejects_malformed():
 def test_json_deterministic():
     a = L1ZSeq({5: 1.0, -5: 2.0, 0: 3.0})
     assert l1z.dumps(a) == l1z.dumps(L1ZSeq(dict(reversed(list(a.coeffs.items())))))
+
+
+# ---------------------------------------------------------------------------
+# blocks: dense runs, lacunary gaps around the block constant, indices near
+# +-2**70; every result is checked against 200-bit mpmath
+
+_POOL = st.sampled_from([1.0, -0.5, 0.5j, 0.5, 0.25 + 0.25j, -2.0 + 1.0j, 0j])
+
+
+def _coeffs(part):
+    # repeated moduli for truncate's ties, zeros for runs inside a block
+    return st.one_of(st.builds(complex, part, part), _POOL)
+
+
+# generic parts, far enough above the subnormals that no product underflows
+_GENERIC = _coeffs(st.one_of(st.just(0.0), st.floats(1e-100, 10.0), st.floats(-10.0, -1e-100)))
+# dyadic parts k 2**e: every product and sum of these elements is exact
+_DYADIC = _coeffs(st.builds(lambda k, e: k * 2.0 ** e, st.integers(-255, 255), st.integers(-4, 4)))
+_G = l1z._GAP
+
+
+@st.composite
+def blocky(draw, coeffs=_GENERIC):
+    out, n = {}, draw(st.sampled_from([-(2 ** 70) - 3, -20, 0, 2 ** 70 - 7]))
+    for _ in range(draw(st.integers(0, 3))):
+        for c in draw(st.lists(coeffs, min_size=1, max_size=8)):
+            out[n] = c
+            n += 1
+        n += draw(st.sampled_from([0, 1, _G - 1, _G, _G + 1, _G + 2, 300, 2 ** 70]))
+    return L1ZSeq(out, cu(draw(st.sampled_from([0.0, 0.0, 0.125]))))
+
+
+def _assert_sound_block_element(r):
+    # canonical blocks that own their memory (so no small block pins a large
+    # buffer), a sound norm and a lossless JSON round trip
+    prev = None
+    for o, x in r.blocks:
+        nz = np.flatnonzero(x)
+        assert x.base is None and not x.flags.writeable and x[0] != 0 and x[-1] != 0
+        assert np.all(np.diff(nz) <= _G + 1)
+        assert prev is None or o - prev > _G + 1
+        prev = o + x.size - 1
+    with mpmath.workprec(200):
+        true = mp_seq_norm(r.coeffs) + mpmath.mpf(r.tail.value)
+        assert mpmath.mpf(l1z.norm_upper(r).value) >= true
+    assert l1z.loads(l1z.dumps(r)) == r
+
+
+def _rounded(want):
+    """The nonzero 200-bit values, each part rounded to the nearest double."""
+    return {n: complex(v) for n, v in want.items() if v != 0}
+
+
+@given(blocky(_DYADIC), blocky(_DYADIC), blocky(), blocky())
+@settings(max_examples=40, deadline=None)
+def test_blocks_convolve_add_sub(a, b, c, d):
+    with mpmath.workprec(200):
+        # exact arithmetic: the product's index set and values are the oracle's
+        got = l1z.convolve(a, b)
+        assert got.coeffs == _rounded(mp_seq_conv(a.coeffs, b.coeffs))
+        _assert_sound_block_element(got)
+        # rounded arithmetic: within the certified envelope, on the support's sums
+        got = l1z.convolve(c, d)
+        assert set(got.coeffs) <= set(_assert_product_within_envelope(c, d, got))
+        _assert_sound_block_element(got)
+        for sign, got in ((1, l1z.add(c, d)), (-1, l1z.sub(c, d))):
+            # one rounding per part: the correctly rounded exact sum
+            want = {n: mpc(c.coeffs.get(n, 0j)) + sign * mpc(d.coeffs.get(n, 0j))
+                    for n in set(c.coeffs) | set(d.coeffs)}
+            assert got.coeffs == _rounded(want)
+            _assert_sound_block_element(got)
+
+
+@given(blocky(), blocky(), _GENERIC,
+       st.one_of(st.integers(-200, 200), st.sampled_from([2 ** 70, -(2 ** 71)])),
+       st.sampled_from([1.0, 0.5, -4.0]))
+@settings(max_examples=40, deadline=None)
+def test_blocks_scale_shift_weighted_sum(a, b, c, k, w):
+    got = l1z.scale(c, a)
+    assert got.coeffs == {n: c * v for n, v in a.coeffs.items() if c * v != 0}
+    _assert_sound_block_element(got)
+    got = l1z.shift(a, k)
+    assert got.coeffs == {n + k: v for n, v in a.coeffs.items()} and got.tail == a.tail
+    _assert_sound_block_element(got)
+    # a power-of-two weight scales exactly: one rounding per part again
+    got = l1z.weighted_sum([a, b], w)
+    with mpmath.workprec(200):
+        want = {n: w * (mpc(a.coeffs.get(n, 0j)) + mpc(b.coeffs.get(n, 0j)))
+                for n in set(a.coeffs) | set(b.coeffs)}
+        assert got.coeffs == _rounded(want)
+    assert got.tail == cu_add(cu_mul(cu(abs(w)), cu_sum([a.tail, b.tail])), CU_ZERO)
+    _assert_sound_block_element(got)
+
+
+@given(blocky(), st.floats(0.0, 1.5))
+@settings(max_examples=60, deadline=None)
+def test_blocks_truncate_keeps_the_sort_and_scan_set(a, frac):
+    budget = max(frac * l1z.norm_upper(a).value, 1e-300)
+    got = l1z.truncate(a, budget)
+    # drop in the order (|c|, |n|, -n) while the certified running sum fits
+    order = sorted(a.coeffs.items(), key=lambda item: (abs(item[1]), abs(item[0]), -item[0]))
+    kept, dropped, total = dict(a.coeffs), CU_ZERO, 0.0
+    for k, (n, c) in enumerate(order, 1):
+        total += abs(c)
+        step = cu_from_float_sum(total, k + 1)
+        if step.value > budget:
+            break
+        dropped = step
+        del kept[n]
+    assert got.coeffs == kept
+    assert got.tail == cu_add(a.tail, dropped)
+    _assert_sound_block_element(got)
