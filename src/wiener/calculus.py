@@ -276,7 +276,8 @@ def loop_integral(f: CurveMap, gamma: PathLoop, steps: int) -> Tuple[L1ZSeq, Cer
     With ``zeta_i`` and ``w_i`` as in ``_node_powers`` at the midpoints of
     ``steps`` panels, the midpoint sum of ``f(z) dz`` is ``sum_m terms[m]
     S_m``, ``S_m = sum_i w_i zeta_i**m``, plus at most ``rem sum_i |w_i|``
-    from the remainder.  Each ``S_m`` is one ``fsum`` per part; the tail holds
+    from the remainder.  Each ``S_m`` is one ``fsum`` per part, and the value
+    one `l1z.weighted_sum` of the terms scaled by their ``S_m``; its tail holds
     the remainder, the terms' tails and the rounding.  The integrand ``t ->
     f(gamma(t)) gamma'(t)`` inherits a modulus from the path's speed and
     derivative-Lipschitz data, so ``err`` is the midpoint bound of ``integrate``.
@@ -295,8 +296,7 @@ def loop_integral(f: CurveMap, gamma: PathLoop, steps: int) -> Tuple[L1ZSeq, Cer
     # S_m's fsums (1), S_m times a coefficient (3) and up to len(terms) - 1 sums
     # per index (normwise by Minkowski), of sum_i |w_i zeta_i**m| ||terms[m]||;
     # ULP = 2u covers the second order.  |p| (2) and its fsum (1) bound that sum.
-    acc: Dict[int, complex] = {}
-    bounds = []
+    parts, bounds = [], []
     for m, p in _node_powers(f, gamma, ts, h):
         weight = cu_from_float_sum(_fsum(np.abs(p).tolist()), 7 * abs(m) + 5)
         if m == 0:
@@ -305,11 +305,10 @@ def loop_integral(f: CurveMap, gamma: PathLoop, steps: int) -> Tuple[L1ZSeq, Cer
         if t is None:
             continue
         s = complex(_fsum(p.real.tolist()), _fsum(p.imag.tolist()))
-        for n, c in t.coeffs.items():
-            acc[n] = acc.get(n, 0j) + s * c
+        parts.append(l1z.scale(s, L1ZSeq(t.blocks)))
         rounding = cu_mul(norm_upper(t), cu((7 * abs(m) + len(f.terms) + 5) * ULP))
         bounds.append(cu_mul(weight, cu_add(t.tail, rounding)))
-    return L1ZSeq(acc, cu_sum(bounds)), _quad_err(modulus, 1.0, steps)
+    return L1ZSeq(l1z.weighted_sum(parts).blocks, cu_sum(bounds)), _quad_err(modulus, 1.0, steps)
 
 
 def loop_samples(f: CurveMap, gamma: PathLoop, steps: int) -> Tuple[List[float], List[complex]]:
@@ -345,10 +344,11 @@ def resolvent_eval(u: L1ZSeq, z: complex, tol: float) -> L1ZSeq:
 def resolvent_map(u: L1ZSeq, radius: float, tol: float) -> CurveMap:
     """Resolvent ``(z - u)^-1 = sum_k u^k z^-(k+1)`` on the circle of that radius.
 
-    Term ``m = -(k + 1)`` is ``u^k / radius^(k+1)``, the series cut once at
-    ``|z| = radius`` by ``l1z._series_cut``, whose remainder is ``rem``.  The
-    resolvent identity factors differences through the product of two
-    resolvents: a Lipschitz bound ``1 / (R - ||u||)**2`` between circle points.
+    Term ``m = -(k + 1)`` is ``u^k / radius^(k+1)`` from `l1z.series_terms`,
+    the series cut once at ``|z| = radius`` by ``l1z._series_cut``, whose
+    remainder is ``rem``.  The resolvent identity factors differences through
+    the product of two resolvents: a Lipschitz bound ``1 / (R - ||u||)**2``
+    between circle points.
     """
     if not tol > 0.0:
         raise InvalidInput("tol must be positive")
@@ -362,10 +362,7 @@ def resolvent_map(u: L1ZSeq, radius: float, tol: float) -> CurveMap:
         )
     w = 1.0 / radius
     K, rem = l1z._series_cut(_up(w), nu, lambda k: _up(w), tol, 100_000)
-    terms, t = {}, delta(0, w)
-    for k in range(K + 1):
-        terms[-(k + 1)] = t
-        t = l1z.scale(w, l1z.convolve(t, u))
+    terms = {-(k + 1): t for k, t in enumerate(l1z.series_terms(delta(0, w), u, lambda k: w, K))}
     gap = radius - nu
     return CurveMap(terms, cu(rem), cu(_up(1.0 / (gap * gap))), cu(_up(1.0 / gap)), radius)
 

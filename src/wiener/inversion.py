@@ -20,7 +20,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from . import certs, l1z
-from .certs import ULP, CertUpper, cu, cu_add, cu_div, cu_mul, _up
+from .certs import CertUpper, cu_add, cu_div, _up
 from .errors import CertificationFailure, HypothesisFailure, InvalidInput
 from .l1z import L1ZSeq, convolve, delta, norm_upper, sub
 
@@ -42,20 +42,6 @@ class InversionCertificate:
             "residual": self.residual.value,
             "params": dict(self.params),
         }
-
-
-def _conv_roundoff(a: L1ZSeq, b: L1ZSeq) -> CertUpper:
-    """Envelope for the deviation of floating convolution from the true one.
-
-    Within a pair of blocks of lengths ``m_a`` and ``m_b``, ``np.convolve``
-    sums at most ``min(m_a, m_b)`` products into an output coefficient; the
-    pieces of the ``P`` block pairs are then added one by one.  Each product
-    so goes through at most ``max min(m_a, m_b) + P - 2`` additions; summed
-    over all outputs the error stays below this bound.
-    """
-    dots = [min(x.size, y.size) for _, x in a.blocks for _, y in b.blocks]
-    m = max(dots, default=0) + max(len(dots), 1) + 3
-    return cu_mul(cu(4.0 * ULP * m), cu_mul(norm_upper(a), norm_upper(b)))
 
 
 def residual_norm(f: L1ZSeq, witness: L1ZSeq) -> CertUpper:
@@ -109,22 +95,12 @@ def perturb_invert_bound(M: CertUpper, u_norm: CertUpper, c: float) -> CertUpper
 def _circle_sampler(f: L1ZSeq):
     """``certify_min_modulus`` sampler of ``f`` on the n-th roots of unity.
 
-    One FFT of the coefficients folded mod n (at most ``ceil(span / n)``
-    to a bucket); every point of the circle is within an arc ``pi / n``.
-    A block's offset is folded as a Python int, so any index folds exactly.
+    One FFT of the coefficients folded mod n (`l1z.fold`); every point of
+    the circle is within an arc ``pi / n``.
     """
-    c = l1z._flat(f)[0]
-    mass = float(np.sum(np.abs(c)))
-    lo, hi = f.support()
-
     def sample(n: int):
-        j = np.concatenate([np.arange(o % n, o % n + x.size) for o, x in f.blocks]
-                           or [np.arange(0)]) % n
-        x = np.empty(n, dtype=complex)
-        x.real = np.bincount(j, weights=c.real, minlength=n)
-        x.imag = np.bincount(j, weights=c.imag, minlength=n)
+        x, fold = l1z.fold(f, n)
         values = np.fft.ifft(x, norm="forward")  # unscaled: sum_j x_j w^(jk)
-        fold = (-((lo - hi - 1) // n) - 1) * ULP * mass  # ceil(span / n) - 1 roundings
         fft = certs.fft_roundoff(n, math.sqrt(np.vdot(x, x).real))
         err = _up(f.tail.value + fold + fft)
         return np.exp((2j * math.pi / n) * np.arange(n)), values, err, math.pi / n
@@ -213,4 +189,4 @@ def quotient_norm_upper(a: L1ZSeq, g: L1ZSeq, k: L1ZSeq) -> CertUpper:
     The witness is the explicit ideal element ``g * k``.
     """
     base = norm_upper(sub(a, convolve(g, k)))
-    return cu_add(base, _conv_roundoff(g, k))
+    return cu_add(base, l1z.conv_roundoff(g, k))

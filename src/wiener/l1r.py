@@ -51,6 +51,7 @@ from .errors import (
 _NODE_CAP = 2 ** 23
 _PAIR_CUT = 1 << 20
 _RESAMPLE_CAP = 1 << 20
+_DIVIDE_ROUNDS = 4  # witness grids tried by tauberian_divide
 
 
 @dataclass(frozen=True)
@@ -343,8 +344,8 @@ def _czt(a: np.ndarray, k: int, theta: float) -> Tuple[np.ndarray, float]:
     n, m = a.size, a.size + k
     y = a * np.exp(-0.5j * theta * np.arange(n, dtype=float) ** 2)
     v = np.exp(0.5j * theta * np.arange(-(n - 1), k, dtype=float) ** 2)
-    L = 1 << (2 * n + k - 3).bit_length()  # the first power of two >= 2 n + k - 2
-    core = np.fft.ifft(np.fft.fft(y, L) * np.fft.fft(v, L))[n - 1 : n - 1 + k]
+    L = 1 << (2 * n + k - 3).bit_length()  # _fast_conv's FFT length: 2 n + k - 2 rounded up
+    core = _fast_conv(y, v)[0][n - 1 : n - 1 + k]
     err = ULP * (abs(theta) * m * m + 8.0) * float(np.sum(np.abs(a)))
     err += 4.0 * m * fft_roundoff(L, float(np.linalg.norm(a))) / math.sqrt(L)
     return np.exp(-0.5j * theta * np.arange(k, dtype=float) ** 2) * core, _up(err)
@@ -582,14 +583,14 @@ def tauberian_divide(
     band: float,
     eps: float,
     tol: float,
-    max_rounds: int = 4,
 ) -> Tuple[PLFunction, CertUpper]:
     """Divide ``g`` by ``f`` given a transform bounded below on the band.
 
     Builds a witness in frequency domain (band-limited by the De la
     Vallee Poussin hat, synthesized by the inversion formula on a
     trapezoid grid, windowed to compact support) and certifies the
-    residual ``||f * k - g||`` directly, refining grids on failure.
+    residual ``||f * k - g||`` directly, refining grids on failure
+    (``_DIVIDE_ROUNDS`` times at most).
     Expected to fail, with an honest report, when ``g`` carries spectral
     mass outside the band.
     """
@@ -609,7 +610,7 @@ def tauberian_divide(
 
     best = math.inf
     best_k = None
-    for _ in range(max_rounds):
+    for _ in range(_DIVIDE_ROUNDS):
         dp = math.pi / (4.0 * Xk)
         nneg = int(math.ceil(2.0 * band / dp))
         ps = np.linspace(-2.0 * band, 2.0 * band, 2 * nneg + 1)

@@ -11,8 +11,10 @@ coefficients at ``offset, offset + 1, ...``.  A block starts and ends on a
 nonzero coefficient, and a new one starts wherever more than ``_GAP``
 zeros separate two nonzero coefficients, so the blocks of an element are
 fixed by its nonzero set, and an index such as ``2**70`` stays an exact
-Python int offset.  Every operation works on the arrays; products take
-one ``np.convolve`` per pair of blocks.
+Python int offset.  Every operation works on the arrays, and every
+result's blocks come from one builder, `_merge`; products take one
+``np.convolve`` per pair of blocks.  Other modules read an element through
+``coeffs``, `fold` and the norms, never through its blocks.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
+from operator import mul
 from types import MappingProxyType
-from typing import Callable, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,7 +61,7 @@ class L1ZSeq:
     """Coefficient blocks plus a tail bound.
 
     ``blocks`` is either the canonical tuple built by this module or a
-    mapping ``n -> a_n``, which is validated and split into blocks.
+    mapping ``n -> a_n``, which is validated and laid out as blocks.
     """
 
     blocks: Union[Tuple[Block, ...], Mapping[int, complex]]
@@ -66,7 +69,7 @@ class L1ZSeq:
 
     def __post_init__(self):
         if not isinstance(self.blocks, tuple):
-            object.__setattr__(self, "blocks", _from_mapping(self.blocks))
+            object.__setattr__(self, "blocks", _merge(_runs(self.blocks)))
 
     @cached_property
     def coeffs(self) -> Mapping[int, complex]:
@@ -87,16 +90,57 @@ class L1ZSeq:
         return self.coeffs == other.coeffs and self.tail == other.tail
 
 
-def _split(buf: np.ndarray, starts: Sequence[int], pos: Sequence[int]) -> Tuple[Block, ...]:
-    """Canonical blocks of ``buf``, whose part ``pos[c]:pos[c + 1]`` sits at ``starts[c]``.
+def _runs(coeffs: Mapping[int, complex]) -> List[Block]:
+    """The coefficients ``n -> c`` as pieces for `_merge`, each run of keys one dense array."""
+    clean = {int(n): complex(c) for n, c in coeffs.items()}
+    ns = sorted(clean)
+    first = [i for i in range(len(ns)) if i == 0 or ns[i] - ns[i - 1] > _GAP + 1]
+    return [(ns[i], np.array([clean.get(n, 0j) for n in range(ns[i], ns[j - 1] + 1)], complex))
+            for i, j in zip(first, first[1:] + [len(ns)])]
 
-    The one finiteness check of every array an element holds.  Parts are
-    nonempty and more than ``_GAP`` indices apart, so blocks end at part
-    boundaries as well as at runs of more than ``_GAP`` zeros.
+
+def _merge(pieces: Sequence[Block], w: complex | None = None) -> Tuple[Block, ...]:
+    """Canonical blocks of ``w`` times the sum of ``pieces`` ``(offset, values)``.
+
+    Every element's blocks are built here, and this is the one finiteness
+    check of their arrays.  All values are multiplied by ``w`` (``None``:
+    by nothing) in one `_cmul`, then added in the given order into a
+    zeroed buffer, one span per cluster of pieces within ``_GAP`` of each
+    other.  A lone piece, or pieces that are each their own cluster and
+    already in order (the blocks of one element), are the buffer as they
+    are, so their signed zeros stay.  Blocks end at cluster boundaries as
+    well as at runs of more than ``_GAP`` zeros.
     """
+    if not pieces:
+        return ()
+    values = pieces[0][1] if len(pieces) == 1 else np.concatenate([x for _, x in pieces])
+    if w is not None:
+        values = _cmul(w, values)
+    if len(pieces) == 1:
+        starts, pos, buf = [pieces[0][0]], [0, values.size], values
+    else:
+        starts, ends, member = [], [], [0] * len(pieces)
+        for i in sorted(range(len(pieces)), key=lambda i: pieces[i][0]):
+            o, x = pieces[i]
+            if not starts or o - ends[-1] > _GAP:
+                starts.append(o)
+                ends.append(o + x.size)
+            else:
+                ends[-1] = max(ends[-1], o + x.size)
+            member[i] = len(starts) - 1
+        pos = list(accumulate((e - s for s, e in zip(starts, ends)), initial=0))
+        if member == list(range(len(pieces))):
+            buf = values
+        else:
+            sizes = [x.size for _, x in pieces]
+            shift = [pos[c] + o - starts[c] - k  # piece's place in buf less its place in values
+                     for (o, _), c, k in zip(pieces, member, accumulate(sizes, initial=0))]
+            buf = np.zeros(pos[-1], dtype=complex)
+            # unbuffered: a value added twice or more is summed in the order of the pieces
+            np.add.at(buf, np.arange(values.size) + np.repeat(shift, sizes), values)
     if np.count_nonzero(np.isfinite(buf)) != buf.size:
         raise InvalidInput("NaN coefficient" if np.isnan(buf).any() else "non-finite coefficient")
-    if 0 < np.count_nonzero(buf) == buf.size:  # no zero: each part is a block
+    if 0 < np.count_nonzero(buf) == buf.size:  # no zero: each cluster is a block
         first, last = pos[:-1], pos[1:]
         if len(first) == 1:
             buf.setflags(write=False)
@@ -107,7 +151,7 @@ def _split(buf: np.ndarray, starts: Sequence[int], pos: Sequence[int]) -> Tuple[
             return ()
         far = nz[1:] - nz[:-1] > _GAP + 1
         if len(pos) > 2:
-            at = np.searchsorted(nz, pos[1:-1])  # first nonzero of each later part
+            at = np.searchsorted(nz, pos[1:-1])  # first nonzero of each later cluster
             far[at[(at > 0) & (at < nz.size)] - 1] = True
         cut = far.nonzero()[0]
         first = [int(nz[0])] + nz[cut + 1].tolist()
@@ -119,58 +163,6 @@ def _split(buf: np.ndarray, starts: Sequence[int], pos: Sequence[int]) -> Tuple[
         x.setflags(write=False)
         out.append((starts[c] + s - pos[c], x))
     return tuple(out)
-
-
-def _clustered(pieces: Sequence[Block]) -> Tuple[Block, ...]:
-    """Blocks of the sum of ``pieces`` ``(offset, values)``, added in the given order.
-
-    Pieces within ``_GAP`` of each other share a zeroed buffer, into which
-    each is added in turn; a lone piece is taken as it is.
-    """
-    if not pieces:
-        return ()
-    if len(pieces) == 1:
-        o, x = pieces[0]
-        return _split(x, [o], [0, x.size])
-    starts, ends, member = [], [], [0] * len(pieces)
-    for i in sorted(range(len(pieces)), key=lambda i: pieces[i][0]):
-        o, x = pieces[i]
-        if not starts or o - ends[-1] > _GAP:
-            starts.append(o)
-            ends.append(o + x.size)
-        else:
-            ends[-1] = max(ends[-1], o + x.size)
-        member[i] = len(starts) - 1
-    pos = list(accumulate((e - s for s, e in zip(starts, ends)), initial=0))
-    sizes = [x.size for _, x in pieces]
-    shift = [pos[c] + o - starts[c] - k  # piece's place in buf less its place in the values
-             for (o, _), c, k in zip(pieces, member, accumulate(sizes, initial=0))]
-    buf = np.zeros(pos[-1], dtype=complex)
-    # unbuffered: a value added twice or more is summed in the order of the pieces
-    np.add.at(buf, np.arange(sum(sizes)) + np.repeat(shift, sizes),
-              np.concatenate([x for _, x in pieces]))
-    return _split(buf, starts, pos)
-
-
-def _from_mapping(coeffs: Mapping[int, complex]) -> Tuple[Block, ...]:
-    """Blocks of the coefficients ``n -> c``, each run of keys as one part."""
-    clean = {int(n): complex(c) for n, c in coeffs.items()}
-    if not clean:
-        return ()
-    ns = sorted(clean)
-    runs = [i for i in range(1, len(ns)) if ns[i] - ns[i - 1] > _GAP + 1]
-    starts = [ns[i] for i in [0] + runs]
-    ends = [ns[i - 1] + 1 for i in runs + [len(ns)]]
-    buf = np.array([clean.get(n, 0j) for s, e in zip(starts, ends) for n in range(s, e)],
-                   dtype=complex)
-    return _split(buf, starts, list(accumulate((e - s for s, e in zip(starts, ends)), initial=0)))
-
-
-def _flat(a: L1ZSeq) -> Tuple[np.ndarray, List[int], List[int]]:
-    """All of ``a``'s values in one array, with each block's offset and position."""
-    xs = [x for _, x in a.blocks]
-    flat = np.concatenate(xs) if xs else np.zeros(0, dtype=complex)
-    return flat, [o for o, _ in a.blocks], list(accumulate((x.size for x in xs), initial=0))
 
 
 def _cmul(c: complex, x: np.ndarray) -> np.ndarray:
@@ -192,22 +184,20 @@ def delta(n: int, c: complex = 1.0) -> L1ZSeq:
 
 def from_dense(lo: int, values: np.ndarray) -> L1ZSeq:
     """Element with coefficient ``values[k]`` at index ``lo + k`` (a copy)."""
-    values = np.array(values, dtype=complex)
-    return L1ZSeq(_split(values, [lo], [0, values.size]))
+    return L1ZSeq(_merge([(lo, np.array(values, dtype=complex))]))
 
 
 def add(a: L1ZSeq, b: L1ZSeq) -> L1ZSeq:
-    return L1ZSeq(_clustered(a.blocks + b.blocks), cu_add(a.tail, b.tail))
+    return L1ZSeq(_merge(a.blocks + b.blocks), cu_add(a.tail, b.tail))
 
 
 def neg(a: L1ZSeq) -> L1ZSeq:
-    flat, starts, pos = _flat(a)
-    return L1ZSeq(_split(-flat, starts, pos), a.tail)
+    return L1ZSeq(_merge([(o, -x) for o, x in a.blocks]), a.tail)
 
 
 def sub(a: L1ZSeq, b: L1ZSeq) -> L1ZSeq:
     pieces = a.blocks + tuple((o, -x) for o, x in b.blocks)
-    return L1ZSeq(_clustered(pieces), cu_add(a.tail, b.tail))
+    return L1ZSeq(_merge(pieces), cu_add(a.tail, b.tail))
 
 
 def scale(c: complex, a: L1ZSeq) -> L1ZSeq:
@@ -217,8 +207,7 @@ def scale(c: complex, a: L1ZSeq) -> L1ZSeq:
         tail = cu_mul(cu_abs(c), a.tail)
     else:
         tail = CU_ZERO
-    flat, starts, pos = _flat(a)
-    return L1ZSeq(_split(_cmul(c, flat), starts, pos), tail)
+    return L1ZSeq(_merge(a.blocks, c), tail)
 
 
 def shift(a: L1ZSeq, k: int) -> L1ZSeq:
@@ -229,13 +218,28 @@ def shift(a: L1ZSeq, k: int) -> L1ZSeq:
 def convolve(a: L1ZSeq, b: L1ZSeq) -> L1ZSeq:
     """Convolution product: one ``np.convolve`` per pair of blocks, summed by offset.
 
-    Tails combine by the subadditive cross bound.
+    Tails combine by the subadditive cross bound.  The float product's
+    distance from the true one is bounded by `conv_roundoff`.
     """
     tail = CU_ZERO
     if a.tail.value != 0.0 or b.tail.value != 0.0:
         tail = cu_cross(a.tail, norm_upper(a), b.tail, norm_upper(b))
     pieces = [(o + p, np.convolve(x, y)) for o, x in a.blocks for p, y in b.blocks]
-    return L1ZSeq(_clustered(pieces), tail)
+    return L1ZSeq(_merge(pieces), tail)
+
+
+def conv_roundoff(a: L1ZSeq, b: L1ZSeq) -> CertUpper:
+    """Envelope for the deviation of ``convolve(a, b)`` from the true product.
+
+    Within a pair of blocks of lengths ``m_a`` and ``m_b``, ``np.convolve``
+    sums at most ``min(m_a, m_b)`` products into an output coefficient; the
+    pieces of the ``P`` block pairs are then added one by one.  Each product
+    so goes through at most ``max min(m_a, m_b) + P - 2`` additions; summed
+    over all outputs the error stays below this bound.
+    """
+    dots = [min(x.size, y.size) for _, x in a.blocks for _, y in b.blocks]
+    m = max(dots, default=0) + max(len(dots), 1) + 3
+    return cu_mul(cu(4.0 * ULP * m), cu_mul(norm_upper(a), norm_upper(b)))
 
 
 def weighted_sum(
@@ -248,9 +252,10 @@ def weighted_sum(
     """
     pieces, tails = [], []
     for a in parts:
-        pieces.extend(a.blocks if w == 1.0 else [(o, _cmul(complex(w), x)) for o, x in a.blocks])
+        pieces.extend(a.blocks)
         tails.append(a.tail)
-    return L1ZSeq(_clustered(pieces), cu_add(cu_mul(cu(abs(w)), cu_sum(tails)), extra))
+    return L1ZSeq(_merge(pieces, None if w == 1.0 else complex(w)),
+                  cu_add(cu_mul(cu(abs(w)), cu_sum(tails)), extra))
 
 
 def _series_cut(
@@ -292,15 +297,18 @@ def power_series(
     ``K + 1``.
     """
     K, rem = _series_cut(norm_upper(first).value, ny, step, tol, cap)
+    return weighted_sum(series_terms(first, y, step, K), extra=cu(rem)), K + 1
 
-    def terms():
-        t = first
+
+def series_terms(
+    first: L1ZSeq, y: L1ZSeq, step: Callable[[int], complex], K: int
+) -> Iterator[L1ZSeq]:
+    """The terms ``t_0 = first``, ``t_k = step(k) (t_(k-1) * y)`` for ``k <= K``: K products."""
+    t = first
+    yield t
+    for k in range(1, K + 1):
+        t = scale(step(k), convolve(t, y))
         yield t
-        for k in range(1, K + 1):
-            t = scale(step(k), convolve(t, y))
-            yield t
-
-    return weighted_sum(terms(), extra=cu(rem)), K + 1
 
 
 def norm_upper(a: L1ZSeq) -> CertUpper:
@@ -347,11 +355,25 @@ def circle_lipschitz_upper(a: L1ZSeq) -> CertUpper:
     if a.tail.value != 0.0:
         raise InvalidInput("lipschitz unavailable for infinite tail")
     # per term: |n| to a float, |c| (hypot) and the product, 4; the fsum, 1
-    return cu_from_float_sum(_fsum(
-        abs(n) * m
-        for o, x in a.blocks
-        for n, m in zip(range(o, o + x.size), map(abs, x.tolist()))
-    ), 5)
+    return cu_from_float_sum(_fsum(map(mul, map(abs, a.coeffs), map(abs, a.coeffs.values()))), 5)
+
+
+def fold(a: L1ZSeq, n: int) -> Tuple[np.ndarray, float]:
+    """``a``'s coefficients summed by index mod ``n``, and a bound on that sum's rounding.
+
+    At most ``ceil(span / n)`` coefficients share a residue, so each sum
+    rounds at most ``ceil(span / n) - 1`` times, each within ``ULP`` of the
+    mass.  A block's offset is folded as a Python int, so any index folds
+    exactly.
+    """
+    c = np.concatenate([x for _, x in a.blocks] or [np.zeros(0, dtype=complex)])
+    j = np.concatenate([np.arange(o % n, o % n + x.size) for o, x in a.blocks]
+                       or [np.arange(0)]) % n
+    x = np.empty(n, dtype=complex)
+    x.real = np.bincount(j, weights=c.real, minlength=n)
+    x.imag = np.bincount(j, weights=c.imag, minlength=n)
+    lo, hi = a.support()
+    return x, (-((lo - hi - 1) // n) - 1) * ULP * float(np.sum(np.abs(c)))
 
 
 def truncate(a: L1ZSeq, budget: float) -> L1ZSeq:
@@ -365,7 +387,8 @@ def truncate(a: L1ZSeq, budget: float) -> L1ZSeq:
     """
     if not budget > 0.0:
         raise InvalidInput("truncation budget must be positive")
-    flat, starts, pos = _flat(a)
+    flat = np.concatenate([x for _, x in a.blocks] or [np.zeros(0, dtype=complex)])
+    pos = list(accumulate((x.size for _, x in a.blocks), initial=0))
     nz = (flat != 0).nonzero()[0]
     mods = np.array(list(map(abs, flat[nz].tolist())), dtype=float)
     ordered = np.sort(mods)
@@ -381,13 +404,14 @@ def truncate(a: L1ZSeq, budget: float) -> L1ZSeq:
 
         def key(p):  # (|n|, -n) of the index n at flat position p
             c = bisect_right(pos, p) - 1
-            n = starts[c] + p - pos[c]
+            n = a.blocks[c][0] + p - pos[c]
             return abs(n), -n
 
         ties = sorted(nz[mods == edge].tolist(), key=key)
         flat[drop] = 0
         flat[ties[:k - drop.size]] = 0
-        return L1ZSeq(_split(flat, starts, pos), cu_add(a.tail, dropped))
+        pieces = [(o, flat[p:q]) for (o, _), p, q in zip(a.blocks, pos, pos[1:])]
+        return L1ZSeq(_merge(pieces), cu_add(a.tail, dropped))
     return L1ZSeq(a.blocks, cu_add(a.tail, dropped))
 
 
@@ -397,11 +421,7 @@ def truncate(a: L1ZSeq, budget: float) -> L1ZSeq:
 
 def to_jsonable(a: L1ZSeq) -> dict:
     return {
-        "coeffs": [
-            {"n": n, "re": c.real, "im": c.imag}
-            for o, x in a.blocks
-            for n, c in zip(range(o, o + x.size), x.tolist()) if c
-        ],
+        "coeffs": [{"n": n, "re": c.real, "im": c.imag} for n, c in a.coeffs.items()],
         "tail": a.tail.value,
     }
 

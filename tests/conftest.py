@@ -3,10 +3,15 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from wiener.l1z import L1ZSeq
 
 mpmath.mp.prec = 128
+
+# the same examples on every run, and no example database carried between runs
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 def mpc(c: complex) -> mpmath.mpc:

@@ -305,6 +305,20 @@ def test_loop_samples_read_the_terms():
         assert abs(fmap.fn(z).coeffs[0] * loop.derivative(t) - want) <= 1e-12
 
 
+def test_resolvent_map_makes_one_product_fewer_than_terms(monkeypatch):
+    # t_0 is the unit over the radius; each later term is one product
+    products = []
+    convolve = l1z.convolve
+
+    def counted(a, b):
+        products.append((a, b))
+        return convolve(a, b)
+
+    monkeypatch.setattr(l1z, "convolve", counted)
+    fmap = calculus.resolvent_map(L1ZSeq({0: 0.1, 1: 0.3j, -2: -0.05}), 1.0, 1e-9)
+    assert len(fmap.terms) == 27 and len(products) == 26
+
+
 def test_resolvent_loop_integral_rejects_small_radius():
     with pytest.raises(HypothesisFailure):
         calculus.resolvent_loop_integral(delta(1), 0.5, 64, 1e-6)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wiener import inversion, l1z
+from wiener import l1z
 from wiener.certs import CU_ZERO, CertUpper, cu, cu_add, cu_from_float_sum, cu_mul, cu_sum
 from wiener.errors import BoundOverflow, InvalidInput
 from wiener.l1z import L1ZSeq, delta
@@ -64,7 +64,7 @@ def _assert_product_within_envelope(a, b, got):
     # convolution; returns the oracle's product
     want = mp_seq_conv(a.coeffs, b.coeffs)
     err = mpmath.fsum(abs(mpc(got.coeffs.get(n, 0j)) - v) for n, v in want.items())
-    assert err <= inversion._conv_roundoff(a, b).value
+    assert err <= l1z.conv_roundoff(a, b).value
     return want
 
 
@@ -365,3 +365,58 @@ def test_blocks_truncate_keeps_the_sort_and_scan_set(a, frac):
     assert got.coeffs == kept
     assert got.tail == cu_add(a.tail, dropped)
     _assert_sound_block_element(got)
+
+
+# ---------------------------------------------------------------------------
+# folding mod n, and signed zeros
+
+
+def _runs_at(rng, runs):
+    # dense runs (offset, length) of coefficients spread over eleven decades
+    coeffs = {}
+    for o, size in runs:
+        mag = 10.0 ** rng.uniform(-8.0, 3.0, size)
+        vals = mag * (rng.normal(size=size) + 1j * rng.normal(size=size))
+        coeffs.update(zip(range(o, o + size), vals.tolist()))
+    return L1ZSeq(coeffs)
+
+
+@pytest.mark.parametrize("n", [8, 64, 1000, 4096, 2 ** 20])
+def test_fold_matches_oracle_within_its_bound(n):
+    rng = np.random.default_rng(n)
+    far = 2 ** 70
+    elements = [
+        # spans of about 6,000 (above every n but 2**20) near +-2**70
+        _runs_at(rng, [(far - 11, 700), (far + 5000, 900)]),
+        _runs_at(rng, [(-far - 6000, 1200), (-far + 40, 500)]),
+        # a span of 2**71, so indices on both sides of 0 fold together
+        _runs_at(rng, [(-far + 5, 300), (-3, 800), (far - 7, 300)]),
+    ]
+    for a in elements:
+        x, bound = l1z.fold(a, n)
+        assert x.shape == (n,)
+        with mpmath.workprec(200):
+            exact = {}
+            for k, c in a.coeffs.items():
+                exact[k % n] = exact.get(k % n, 0) + mpc(c)
+            assert set(np.flatnonzero(x).tolist()) <= set(exact)
+            err = mpmath.fsum(abs(mpc(complex(x[j])) - v) for j, v in exact.items())
+            assert err <= bound
+
+
+def _bits(coeffs):
+    return {n: (math.copysign(1.0, c.real), c.real, math.copysign(1.0, c.imag), c.imag)
+            for n, c in coeffs.items()}
+
+
+def test_signed_zero_parts_kept():
+    # -0.0 parts inside a block, in a far block and in a lone piece
+    a = L1ZSeq({0: 1 - 0j, 1: complex(-0.0, 0.5), 200: complex(-0.0, -2.0), 2 ** 70: -3.0})
+    assert _bits(a.coeffs) == _bits({0: 1 - 0j, 1: complex(-0.0, 0.5),
+                                     200: complex(-0.0, -2.0), 2 ** 70: -3.0})
+    assert _bits(l1z.neg(a).coeffs) == _bits({n: -c for n, c in a.coeffs.items()})
+    # scale rounds as Python's complex product, whose zeros are signed too,
+    # and 1.0 multiplies as any other scalar does
+    for c in (1.0, -1.0, 0.5j, -2.0 + 0.25j):
+        assert _bits(l1z.scale(c, a).coeffs) == _bits({n: c * v for n, v in a.coeffs.items()})
+    assert math.copysign(1.0, l1z.scale(1.0, a).coeffs[200].real) == 1.0
