@@ -5,9 +5,16 @@ an L1 slack: a :class:`PLFunction` stands for every true integrable
 function within ``l1_slack`` of it in the one-norm.  Convolution,
 Fourier evaluation, the Fejer and De la Vallee Poussin kernels, and the
 Tauberian division algorithm all maintain that certified reading.  Fourier
-evaluation is closed-form segment sums, or chirp-Z sums on a uniform grid.
-The one-norm is the exact integral of ``|f|`` on each segment, in closed
-form, with a derived rounding bound.
+evaluation is closed-form segment sums or, on a uniform grid ``x_i = x0 + h
+i``, the triangle identity: the function is ``sum_i v_i hat_h(x - x_i)``,
+``hat_h`` the triangle of half-width ``h`` whose transform is ``h sinc(p h /
+2)**2``, so its transform is that times one chirp-Z sum ``sum_i v_i exp(-i p
+x_i)``.  That path's error is ``h`` times the chirp-Z error, ``2 drift_x
+sum|v|`` and a ``drift_p`` term for grids off uniform (the float grid's node
+rounding included, also on a resampled grid), and the rounding term it
+shares with the closed form (`fourier_eval_many`).  The one-norm is the
+exact integral of ``|f|`` on each segment, in closed form, with a derived
+rounding bound.
 
 Convolution strategy: both inputs are resampled onto a common uniform
 grid (certified resampling error), the exact node values of the
@@ -282,15 +289,31 @@ def _resample_uniform(f: PLFunction, h: float) -> PLFunction:
 
 
 def _fast_conv(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Full discrete convolution and a per-node roundoff envelope."""
-    n_out = a.size + b.size - 1
-    nfft = 1
-    while nfft < n_out:
-        nfft *= 2
-    out = np.fft.ifft(np.fft.fft(a, nfft) * np.fft.fft(b, nfft))[:n_out]
-    eta = 8.0 * ULP * (math.log2(nfft) + 2.0)
-    node_err = eta * float(np.linalg.norm(a) * np.linalg.norm(b))
-    return out, _up(node_err)
+    """Full discrete convolution ``a * b`` by FFT, and a bound on each output's rounding.
+
+    The FFT length ``L`` is the first power of two at or above the output
+    length.  Let ``A``, ``B`` be the exact length-``L`` transforms and ``A +
+    E_a``, ``B + E_b`` the computed ones: ``||E_a||_2 <= e_a = fft_roundoff(L,
+    ||a||_2)`` and ``||A||_2 = sqrt(L) ||a||_2`` (``b`` alike), so ``||A +
+    E_a||_2 <= sqrt(L) r_a``, ``r_a = ||a||_2 + e_a / sqrt(L)``.  The computed
+    product ``P`` is within ``sqrt(5) u < 2 ULP`` of ``(A_k + E_ak)(B_k +
+    E_bk)`` at each ``k``, and the inverse FFT, a forward one scaled by ``1 /
+    L`` (exact for a power of two), within ``fft_roundoff(L, ||P||_2) / L`` of
+    ``ifft(P)`` at each output.  An output of ``ifft(X)`` is at most
+    ``||X||_1 / L``, and ``P - AB = E_a B + (A + E_a) E_b`` plus the
+    product's rounding, so by Cauchy-Schwarz each output is within ``(e_a
+    r_b + e_b r_a) / sqrt(L) + 2 ULP r_a r_b + fft_roundoff(L, ||P||_2) /
+    L``.  Each term is a product of at most two float norms, each within
+    ``(L + 4) u``, and under 30 roundings of its own: ``2 L + 40`` in all.
+    """
+    L = 1 << (a.size + b.size - 2).bit_length()
+    prod = np.fft.fft(a, L) * np.fft.fft(b, L)
+    a2, b2 = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    ea, eb = fft_roundoff(L, a2), fft_roundoff(L, b2)
+    ra, rb = a2 + ea / math.sqrt(L), b2 + eb / math.sqrt(L)
+    total = (ea * rb + eb * ra) / math.sqrt(L) + 2.0 * ULP * ra * rb
+    total += fft_roundoff(L, float(np.linalg.norm(prod))) / L
+    return np.fft.ifft(prod)[: a.size + b.size - 1], cu_from_float_sum(total, 2 * L + 40).value
 
 
 def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
@@ -337,25 +360,36 @@ def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
 def _czt(a: np.ndarray, k: int, theta: float) -> Tuple[np.ndarray, float]:
     """Chirp-Z sums ``A_j = sum_i a_i exp(-1j theta i j)`` via Bluestein.
 
-    Also bounds each sum's error: the chirp phases (arguments off by an ulp
-    of ``theta (n + k)**2``) and the FFT convolution (Higham's bound on the
-    three FFTs and the product, ``||y||_2 ||v||_1 / sqrt(L)``, ``||v||_1 < n + k``).
+    Also bounds each sum's error: `_fast_conv`'s bound on the convolution of
+    the chirped ``a`` with the chirp, plus the chirp phases (arguments off by
+    an ulp of ``theta (n + k)**2``, and the exponentials and products).
     """
     n, m = a.size, a.size + k
     y = a * np.exp(-0.5j * theta * np.arange(n, dtype=float) ** 2)
     v = np.exp(0.5j * theta * np.arange(-(n - 1), k, dtype=float) ** 2)
-    L = 1 << (2 * n + k - 3).bit_length()  # _fast_conv's FFT length: 2 n + k - 2 rounded up
-    core = _fast_conv(y, v)[0][n - 1 : n - 1 + k]
-    err = ULP * (abs(theta) * m * m + 8.0) * float(np.sum(np.abs(a)))
-    err += 4.0 * m * fft_roundoff(L, float(np.linalg.norm(a))) / math.sqrt(L)
-    return np.exp(-0.5j * theta * np.arange(k, dtype=float) ** 2) * core, _up(err)
+    core, err = _fast_conv(y, v)
+    err += ULP * (abs(theta) * m * m + 8.0) * float(np.sum(np.abs(a)))
+    return np.exp(-0.5j * theta * np.arange(k, dtype=float) ** 2) * core[n - 1 : m - 1], _up(err)
 
 
-def _uniform_spacing(xs: np.ndarray) -> Tuple[float, float] | None:
-    """``(spacing, drift)`` if the grid is uniform to a relative 1e-9, else None."""
+def _grid_sums(a: np.ndarray, x0: float, h: float, ps: np.ndarray) -> Tuple[np.ndarray, float]:
+    """``sum_i a_i exp(-1j (x0 + h i) p_j)`` by one chirp-Z sum, and `_czt`'s error bound.
+
+    The sum runs at ``q_j = ps[0] + dp j``, ``dp`` the mean spacing of
+    ``ps``; the phases ``exp(-1j ps[0] h i)`` before it and ``exp(-1j x0
+    p_j)`` after it take the given ``ps``.  Their rounding, and the distance
+    of ``ps`` from the ``q_j``, are the caller's to bound.
+    """
+    dp = (float(ps[-1]) - float(ps[0])) / max(ps.size - 1, 1)
+    sums, err = _czt(a * np.exp(-1j * ps[0] * h * np.arange(a.size)), ps.size, dp * h)
+    return np.exp(-1j * x0 * ps) * sums, err
+
+
+def _uniform_spacing(xs: np.ndarray) -> Tuple[float, float]:
+    """``(h, drift)``: the mean spacing, and the largest distance of a node
+    from the float grid ``xs[0] + h * arange``."""
     h = (float(xs[-1]) - float(xs[0])) / max(xs.size - 1, 1)
-    drift = float(np.max(np.abs(xs - (float(xs[0]) + h * np.arange(xs.size)))))
-    return (h, drift) if drift <= 1e-9 * abs(h) else None
+    return h, float(np.max(np.abs(xs - (float(xs[0]) + h * np.arange(xs.size)))))
 
 
 def fourier_eval_many(f: PLFunction, ps) -> Tuple[np.ndarray, CertUpper]:
@@ -363,20 +397,33 @@ def fourier_eval_many(f: PLFunction, ps) -> Tuple[np.ndarray, CertUpper]:
 
     Up to ``_PAIR_CUT`` (frequency, segment) pairs the closed-form segment
     sums run as one block.  Above it the frequencies must be a uniform grid
-    (else InvalidInput); chirp-Z sums over the node values and differences
-    give ``h (phi0(p h) E_v(p) + phi1(p h) E_dv(p))``, after breakpoints not
-    uniform to a relative 1e-9 are resampled at the spacing whose certified
-    error (added to ``l1_slack``) is 2**-10 of the input's ``l1_slack``, or
-    on ``_RESAMPLE_CAP`` nodes, with their larger error, if that is fewer.
+    (else InvalidInput), and breakpoints not uniform to a relative 1e-9 are
+    first resampled at the spacing whose certified error (added to
+    ``l1_slack``) is 2**-10 of the input's ``l1_slack``, or on
+    ``_RESAMPLE_CAP`` nodes, with their larger error, if that is fewer.  On
+    nodes ``x_i = x0 + h i`` the function is ``sum_i v_i hat_h(x - x_i)``,
+    ``hat_h`` the triangle of half-width ``h`` and height 1, whose transform
+    is ``h sinc(p h / 2)**2``; so the transform is ``h sinc(p h / 2)**2
+    E_v(p)``, ``E_v(p) = sum_i v_i exp(-1j p x_i)``, one chirp-Z sum
+    (`_grid_sums`).
 
     The bound is the slack plus the rounding of the formula evaluated: per
-    segment ``L (|v| + |dv|)`` times 16 ulps for the moments, 8 for products,
-    phases and lengths, ``4 |p| max|x|`` for the phase arguments and ``S``
-    for the sum, doubled for the bound's own rounding; chirp-Z adds its sums'
-    error and the grids' drift (``2 drift_x sum|v|`` in L1, ``drift_p span``).
+    segment ``L (|v| + |dv|)`` (``weight`` in all) times 16 ulps for the
+    moments (or ``sinc**2``), 8 for products, phases and lengths, ``4 |p|
+    max|x|`` for the phase arguments and ``S`` for the sum, doubled for the
+    bound's own rounding.  The chirp-Z path adds ``h`` times the chirp-Z
+    error and the grids' drift.  A node within ``drift_x`` of ``x0 + h i``
+    moves each edge of its hat by at most that, ``2 drift_x sum|v|`` in L1;
+    a frequency within ``drift_p`` of the ``q_j`` of `_grid_sums` moves the
+    phase of node ``i`` by ``h i drift_p``, ``weight span drift_p`` in all.
+    Each drift is the one `_uniform_spacing` measures from the float grid
+    ``x0 + h * arange`` (zero for resampled nodes, which are that grid) plus
+    that grid's own rounding, ``u |h i| + u |x_i| <= 3 u max|x|``: with the
+    measurement's rounding, below ``2 ULP max|x|``.
     """
     ps = np.asarray(ps, dtype=float)
     S = f.breakpoints.size - 1
+    pmax = float(np.max(np.abs(ps), initial=0.0))
     extra = phase_drift = 0.0
     if ps.size * S <= _PAIR_CUT:
         Lseg = np.diff(f.breakpoints)
@@ -384,28 +431,23 @@ def fourier_eval_many(f: PLFunction, ps) -> Tuple[np.ndarray, CertUpper]:
         phase = np.exp(-1j * np.multiply.outer(ps, f.breakpoints[:-1]))
         out = (phase * Lseg * (f.values[:-1] * phi0 + np.diff(f.values) * phi1)).sum(axis=1)
     else:
-        grid_p = _uniform_spacing(ps)
-        if grid_p is None:
+        dp, drift_p = _uniform_spacing(ps)
+        if drift_p > 1e-9 * abs(dp):
             raise InvalidInput("above %d pairs the frequencies must be a uniform grid" % _PAIR_CUT)
-        grid_x = _uniform_spacing(f.breakpoints)
-        if grid_x is None:
+        h, drift_x = _uniform_spacing(f.breakpoints)
+        if drift_x > 1e-9 * h:
             (lo, hi), sv = f.span(), _slope_variation(f)
             h = math.sqrt(f.l1_slack.value / (256.0 * sv)) if sv else hi - lo
             h = min(hi - lo, max(h, (hi - lo) / _RESAMPLE_CAP))
             f = _resample_uniform(f, h)
-            S, grid_x = f.breakpoints.size - 1, (h, 0.0)
-        (h, drift_x), (dp, drift_p) = grid_x, grid_p
-        x0 = float(f.breakpoints[0])
-        base = np.exp(-1j * ps[0] * (x0 + h * np.arange(S)))
-        ev, ev_err = _czt(f.values[:-1] * base, ps.size, dp * h)
-        es, es_err = _czt(np.diff(f.values) * base, ps.size, dp * h)
-        phi0, phi1 = _segment_moments(ps * h)
-        out = np.exp(-1j * (ps - ps[0]) * x0) * h * (phi0 * ev + phi1 * es)
-        extra = h * (ev_err + es_err) + 2.0 * drift_x * float(np.sum(np.abs(f.values)))
-        phase_drift = drift_p * S * h
+            S, drift_x = f.breakpoints.size - 1, 0.0  # the nodes are the float grid itself
+        ev, ev_err = _grid_sums(f.values[:-1], float(f.breakpoints[0]), h, ps)
+        out = h * np.sinc(ps * h / (2.0 * math.pi)) ** 2 * ev
+        drift_x += 2.0 * ULP * max(map(abs, f.span()))  # the float grid's own rounding
+        extra = h * ev_err + 2.0 * drift_x * float(np.sum(np.abs(f.values)))
+        phase_drift = (drift_p + 2.0 * ULP * pmax) * S * h
     bp, vals = f.breakpoints, f.values
     weight = float(np.sum(np.diff(bp) * (np.abs(vals[:-1]) + np.abs(np.diff(vals)))))
-    pmax = float(np.max(np.abs(ps), initial=0.0))
     xmax = max(abs(float(bp[0])), abs(float(bp[-1])))
     rnd = weight * (2.0 * ULP * (S + 24.0 + 4.0 * pmax * xmax) + phase_drift) + extra + 1e-300
     return out, cu_add(f.l1_slack, cu(_up(rnd)))
@@ -625,8 +667,7 @@ def tauberian_divide(
         nx = int(math.ceil(Xk / hx))
         xs = hx * np.arange(-nx, nx + 1)
         # both grids are uniform: sum_i w_i khat_i exp(i x_j p_i) by chirp-Z
-        a = weights * khat * np.exp(1j * xs[0] * (ps - ps[0]))
-        kv = np.exp(1j * xs * ps[0]) * _czt(a, xs.size, -hx * dp)[0]
+        kv = _grid_sums(weights * khat, ps[0], dp, -xs)[0]
         kv[0] = 0.0
         kv[-1] = 0.0
         k = PLFunction(xs, kv)

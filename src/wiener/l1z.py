@@ -74,8 +74,7 @@ class L1ZSeq:
     @cached_property
     def coeffs(self) -> Mapping[int, complex]:
         """Read-only map of the nonzero coefficients, by increasing index."""
-        return MappingProxyType({n: c for o, x in self.blocks
-                                 for n, c in zip(range(o, o + x.size), x.tolist()) if c})
+        return MappingProxyType({n: c for n, c in zip(_indices(self), _values(self)) if c})
 
     def support(self) -> Tuple[int, int]:
         """(min index, max index); (0, 0) for the zero element."""
@@ -88,6 +87,16 @@ class L1ZSeq:
         if not isinstance(other, L1ZSeq):
             return NotImplemented
         return self.coeffs == other.coeffs and self.tail == other.tail
+
+
+def _indices(a: L1ZSeq) -> Iterator[int]:
+    """The index of every stored coefficient, zeros inside blocks included, in order."""
+    return chain.from_iterable(range(o, o + x.size) for o, x in a.blocks)
+
+
+def _values(a: L1ZSeq) -> Iterator[complex]:
+    """Every stored coefficient, as Python complex, in the order of `_indices`."""
+    return chain.from_iterable(x.tolist() for _, x in a.blocks)
 
 
 def _runs(coeffs: Mapping[int, complex]) -> List[Block]:
@@ -106,10 +115,10 @@ def _merge(pieces: Sequence[Block], w: complex | None = None) -> Tuple[Block, ..
     check of their arrays.  All values are multiplied by ``w`` (``None``:
     by nothing) in one `_cmul`, then added in the given order into a
     zeroed buffer, one span per cluster of pieces within ``_GAP`` of each
-    other.  A lone piece, or pieces that are each their own cluster and
-    already in order (the blocks of one element), are the buffer as they
-    are, so their signed zeros stay.  Blocks end at cluster boundaries as
-    well as at runs of more than ``_GAP`` zeros.
+    other.  When no two pieces share a cluster nothing is summed: the
+    pieces are laid out in offset order, whatever order they come in, so
+    their signed zeros stay.  Blocks end at cluster boundaries as well as
+    at runs of more than ``_GAP`` zeros.
     """
     if not pieces:
         return ()
@@ -119,8 +128,9 @@ def _merge(pieces: Sequence[Block], w: complex | None = None) -> Tuple[Block, ..
     if len(pieces) == 1:
         starts, pos, buf = [pieces[0][0]], [0, values.size], values
     else:
+        order = sorted(range(len(pieces)), key=lambda i: pieces[i][0])
         starts, ends, member = [], [], [0] * len(pieces)
-        for i in sorted(range(len(pieces)), key=lambda i: pieces[i][0]):
+        for i in order:
             o, x = pieces[i]
             if not starts or o - ends[-1] > _GAP:
                 starts.append(o)
@@ -129,15 +139,14 @@ def _merge(pieces: Sequence[Block], w: complex | None = None) -> Tuple[Block, ..
                 ends[-1] = max(ends[-1], o + x.size)
             member[i] = len(starts) - 1
         pos = list(accumulate((e - s for s, e in zip(starts, ends)), initial=0))
-        if member == list(range(len(pieces))):
-            buf = values
-        else:
-            sizes = [x.size for _, x in pieces]
-            shift = [pos[c] + o - starts[c] - k  # piece's place in buf less its place in values
-                     for (o, _), c, k in zip(pieces, member, accumulate(sizes, initial=0))]
+        at = list(accumulate((x.size for _, x in pieces), initial=0))  # places in values
+        if len(starts) < len(pieces):  # shift: a piece's place in buf less its place in values
+            shift = [pos[c] + o - starts[c] - k for (o, _), c, k in zip(pieces, member, at)]
             buf = np.zeros(pos[-1], dtype=complex)
             # unbuffered: a value added twice or more is summed in the order of the pieces
-            np.add.at(buf, np.arange(values.size) + np.repeat(shift, sizes), values)
+            np.add.at(buf, np.arange(values.size) + np.repeat(shift, np.diff(at)), values)
+        else:  # nothing is summed: the pieces are laid out in offset order
+            buf = np.concatenate([values[at[i] : at[i + 1]] for i in order])
     if np.count_nonzero(np.isfinite(buf)) != buf.size:
         raise InvalidInput("NaN coefficient" if np.isnan(buf).any() else "non-finite coefficient")
     if 0 < np.count_nonzero(buf) == buf.size:  # no zero: each cluster is a block
@@ -313,7 +322,7 @@ def series_terms(
 
 def norm_upper(a: L1ZSeq) -> CertUpper:
     """Certified one-norm bound: coefficient mass plus tail."""
-    return cu_add(cu_sum_abs(chain.from_iterable(x.tolist() for _, x in a.blocks)), a.tail)
+    return cu_add(cu_sum_abs(_values(a)), a.tail)
 
 
 def eval_circle(a: L1ZSeq, lam: complex) -> Tuple[complex, CertUpper]:
@@ -326,7 +335,7 @@ def eval_circle(a: L1ZSeq, lam: complex) -> Tuple[complex, CertUpper]:
     if not abs(abs(lam) - 1.0) <= _CIRCLE_TOL:  # written so that NaN fails
         raise InvalidInput("not on circle")
     v = 0j
-    for n, c in sorted(a.coeffs.items()):
+    for n, c in a.coeffs.items():
         v += c * lam ** n
     return v, a.tail
 
@@ -338,12 +347,10 @@ def eval_roundoff_bound(a: L1ZSeq) -> float:
     multiplies plus the accumulation sum stay well inside
     ``8 * (max|n| + m + 2) * ulp * sum|a_n|``; generous by design.
     """
-    if not a.blocks:
-        return 0.0
-    lo, hi = a.support()
+    lo, hi = a.support()  # (0, 0) for the zero element, whose mass is 0
     radius = max(abs(lo), abs(hi))
-    mass = sum(abs(c) for c in a.coeffs.values())
-    return 8.0 * ULP * (radius + len(a.coeffs) + 2) * mass
+    mass = sum(map(abs, _values(a)))  # a zero adds an exact 0.0
+    return 8.0 * ULP * (radius + sum(int(np.count_nonzero(x)) for _, x in a.blocks) + 2) * mass
 
 
 def circle_lipschitz_upper(a: L1ZSeq) -> CertUpper:
@@ -355,7 +362,7 @@ def circle_lipschitz_upper(a: L1ZSeq) -> CertUpper:
     if a.tail.value != 0.0:
         raise InvalidInput("lipschitz unavailable for infinite tail")
     # per term: |n| to a float, |c| (hypot) and the product, 4; the fsum, 1
-    return cu_from_float_sum(_fsum(map(mul, map(abs, a.coeffs), map(abs, a.coeffs.values()))), 5)
+    return cu_from_float_sum(_fsum(map(mul, map(abs, _indices(a)), map(abs, _values(a)))), 5)
 
 
 def fold(a: L1ZSeq, n: int) -> Tuple[np.ndarray, float]:
@@ -421,7 +428,8 @@ def truncate(a: L1ZSeq, budget: float) -> L1ZSeq:
 
 def to_jsonable(a: L1ZSeq) -> dict:
     return {
-        "coeffs": [{"n": n, "re": c.real, "im": c.imag} for n, c in a.coeffs.items()],
+        "coeffs": [{"n": n, "re": c.real, "im": c.imag}
+                   for n, c in zip(_indices(a), _values(a)) if c],
         "tail": a.tail.value,
     }
 

@@ -322,9 +322,16 @@ def test_fourier_fast_path_matches_generic():
     vals = (np.sin(bp) * np.exp(-bp ** 2)).astype(complex)
     vals[0] = vals[-1] = 0.0
     smooth = PLFunction(bp, vals)
+    # complex and far from the origin: the phase arguments and the rounding of
+    # a node grid taken as uniform are the largest terms of the bound
+    far_bp = 500.0 + np.linspace(0.0, 6.0, n)
+    far_vals = np.exp(-((far_bp - 503.0) ** 2)) * np.exp(2j * far_bp)
+    far_vals[0] = far_vals[-1] = 0.0
+    far = PLFunction(far_bp, far_vals)
     kernel = l1r.fejer_kernel(1.0, 2e-3)  # non-uniform breakpoints, resampled
     # the kernel on criterion 09's first frequency grid, linspace(-2 band, 2 band)
-    for f, ps in ((smooth, np.linspace(-2.0, 2.0, 3000)), (kernel, np.linspace(-1.0, 1.0, 6491))):
+    for f, ps in ((smooth, np.linspace(-2.0, 2.0, 3000)), (far, np.linspace(-2.0, 2.0, 3000)),
+                  (kernel, np.linspace(-1.0, 1.0, 6491))):
         S = f.breakpoints.size - 1
         assert ps.size * S > l1r._PAIR_CUT
         fast, err_fast = l1r.fourier_eval_many(f, ps)  # chirp-Z, above the cut
@@ -343,6 +350,34 @@ def test_fourier_fast_path_matches_generic():
     assert f.l1_slack.value < err_fast.value <= f.l1_slack.value * (1 + 2.0 ** -9) + former
     with pytest.raises(InvalidInput):
         l1r.fourier_eval_many(smooth, np.sort(np.random.default_rng(0).uniform(-2.0, 2.0, 3000)))
+
+
+def test_fast_conv_bound_against_exact_convolutions():
+    # integer-valued inputs, so an int64 convolution is the exact product
+    rng = np.random.default_rng(7)
+    n = 60000
+    ones, spike = np.ones(n), np.zeros(9)
+    spike[4] = 977.0
+
+    def ints(size, top):
+        return rng.integers(-top, top + 1, size).astype(float)
+
+    cases = [
+        (ones, spike),  # the cross terms of a flat and a concentrated input,
+        (spike, ones),  # in both orders
+        (ones, np.ones(2000)),
+        (ints(n, 1000) + 1j * ints(n, 1000), ints(300, 1000) + 1j * ints(300, 5)),
+        (ints(3000, 1000), ints(3000, 1000) - 1j * ints(3000, 1000)),
+        (np.array([3.0]), np.array([-2.0])),
+    ]
+    for a, b in cases:
+        a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+        got, bound = l1r._fast_conv(a, b)
+        ar, ai, br, bi = (x.astype(np.int64) for x in (a.real, a.imag, b.real, b.imag))
+        re = np.convolve(ar, br) - np.convolve(ai, bi)
+        im = np.convolve(ar, bi) + np.convolve(ai, br)
+        assert got.shape == re.shape
+        assert float(np.max(np.abs(got - (re + 1j * im)))) <= bound
 
 
 def test_transform_bounded_by_norm(rng):

@@ -420,3 +420,13 @@ def test_signed_zero_parts_kept():
     for c in (1.0, -1.0, 0.5j, -2.0 + 0.25j):
         assert _bits(l1z.scale(c, a).coeffs) == _bits({n: c * v for n, v in a.coeffs.items()})
     assert math.copysign(1.0, l1z.scale(1.0, a).coeffs[200].real) == 1.0
+
+
+def test_signed_zeros_do_not_depend_on_argument_order():
+    # far-apart pieces with -0.0 parts: nothing is summed, so either order keeps them
+    a = L1ZSeq({0: complex(-0.0, 1.0), 2 ** 70: complex(3.0, -0.0)})
+    b = L1ZSeq({100: complex(2.0, -0.0), -500: complex(-0.0, -0.0)})
+    assert l1z.dumps(l1z.add(a, b)) == l1z.dumps(l1z.add(b, a))
+    assert '"re": -0.0' in l1z.dumps(l1z.add(b, a))
+    assert l1z.dumps(l1z.sub(a, b)) == l1z.dumps(l1z.add(l1z.neg(b), a))
+    assert l1z.dumps(l1z.sub(b, a)) == l1z.dumps(l1z.add(l1z.neg(a), b))
