@@ -92,15 +92,18 @@ def perturb_invert_bound(M: CertUpper, u_norm: CertUpper, c: float) -> CertUpper
     return cu_div(M, 1.0 - c)
 
 
-def _circle_sampler(f: L1ZSeq):
-    """``certify_min_modulus`` sampler of ``f`` on the n-th roots of unity.
+def _circle_values(f: L1ZSeq, n: int):
+    """``f`` at the n-th roots of unity ``w^k``, with the coefficients folded mod n
+    (`l1z.fold`) and the fold's rounding bound: one FFT of the folded array."""
+    x, fold = l1z.fold(f, n)
+    return np.fft.ifft(x, norm="forward"), x, fold  # unscaled: sum_j x_j w^(jk)
 
-    One FFT of the coefficients folded mod n (`l1z.fold`); every point of
-    the circle is within an arc ``pi / n``.
-    """
+
+def _circle_sampler(f: L1ZSeq):
+    """``certify_min_modulus`` sampler of ``f`` on the n-th roots of unity
+    (`_circle_values`); every point of the circle is within an arc ``pi / n``."""
     def sample(n: int):
-        x, fold = l1z.fold(f, n)
-        values = np.fft.ifft(x, norm="forward")  # unscaled: sum_j x_j w^(jk)
+        values, x, fold = _circle_values(f, n)
         fft = certs.fft_roundoff(n, math.sqrt(np.vdot(x, x).real))
         err = _up(f.tail.value + fold + fft)
         return np.exp((2j * math.pi / n) * np.arange(n)), values, err, math.pi / n
@@ -155,7 +158,6 @@ def wiener_invert(
             report=report,
         )
 
-    sample = _circle_sampler(f)
     lo, hi = f.support()
     budget = target / (8.0 * (1.0 + norm_upper(f).value))
     M = 64
@@ -163,7 +165,7 @@ def wiener_invert(
         M *= 2
     best_rho = math.inf
     while M <= _GRID_CAP:
-        coeff = np.fft.fft(1.0 / sample(M)[1]) / M
+        coeff = np.fft.fft(1.0 / _circle_values(f, M)[0]) / M
         coeff[~(np.abs(coeff) > budget / M)] = 0.0
         # circular index j <= M/2 is n = j, a larger one n = j - M
         h = l1z.from_dense(1 - M // 2, np.concatenate((coeff[M // 2 + 1:], coeff[:M // 2 + 1])))

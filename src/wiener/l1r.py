@@ -5,14 +5,15 @@ an L1 slack: a :class:`PLFunction` stands for every true integrable
 function within ``l1_slack`` of it in the one-norm.  Convolution,
 Fourier evaluation, the Fejer and De la Vallee Poussin kernels, and the
 Tauberian division algorithm all maintain that certified reading.  Fourier
-evaluation is closed-form segment sums or, on a uniform grid ``x_i = x0 + h
-i``, the triangle identity: the function is ``sum_i v_i hat_h(x - x_i)``,
-``hat_h`` the triangle of half-width ``h`` whose transform is ``h sinc(p h /
-2)**2``, so its transform is that times one chirp-Z sum ``sum_i v_i exp(-i p
-x_i)``.  That path's error is ``h`` times the chirp-Z error, ``2 drift_x
-sum|v|`` and a ``drift_p`` term for grids off uniform (the float grid's node
-rounding included, also on a resampled grid), and the rounding term it
-shares with the closed form (`fourier_eval_many`).  The one-norm is the
+evaluation is closed-form segment sums or, whichever costs less, on a
+uniform grid ``x_i = x0 + h i`` the triangle identity: the function is
+``sum_i v_i hat_h(x - x_i)``, ``hat_h`` the triangle of half-width ``h``
+whose transform is ``h sinc(p h / 2)**2``, so its transform is that times
+one chirp-Z sum ``sum_i v_i exp(-i p x_i)``.  That path's error is ``h``
+times the chirp-Z error, ``2 drift_x sum|v|`` and a ``drift_p`` term for
+grids off uniform (the float grid's node rounding included, also on a
+resampled grid), and the rounding term it shares with the closed form
+(`fourier_eval_many`).  The one-norm is the
 exact integral of ``|f|`` on each segment, in closed form, with a derived
 rounding bound.
 
@@ -58,6 +59,10 @@ from .errors import (
 _NODE_CAP = 2 ** 23
 _PAIR_CUT = 1 << 20
 _RESAMPLE_CAP = 1 << 20
+#: chirp-Z cost per node over the closed form's per pair (`fourier_eval_many`); with
+#: each path forced, the measured break-even was 1.7-5.0, median 3.6 (2 vCPU x86-64)
+_CZT_COST = 4.0
+_SLICE_PAIRS = 1 << 14  # closed-form pairs per slice
 _DIVIDE_ROUNDS = 4  # witness grids tried by tauberian_divide
 
 
@@ -288,12 +293,15 @@ def _resample_uniform(f: PLFunction, h: float) -> PLFunction:
     return PLFunction(bp, vals, cu_add(cu_add(f.l1_slack, err), _interp_roundoff(bp, f)))
 
 
-def _fast_conv(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, float]:
-    """Full discrete convolution ``a * b`` by FFT, and a bound on each output's rounding.
+def _fast_conv(a: np.ndarray, b: np.ndarray, cyclic: bool = False) -> Tuple[np.ndarray, float]:
+    """Discrete convolution ``a * b`` by FFT, and a bound on each output's rounding.
 
-    The FFT length ``L`` is the first power of two at or above the output
-    length.  Let ``A``, ``B`` be the exact length-``L`` transforms and ``A +
-    E_a``, ``B + E_b`` the computed ones: ``||E_a||_2 <= e_a = fft_roundoff(L,
+    The output is the full linear convolution, ``a.size + b.size - 1`` long,
+    or with ``cyclic`` the length-``L`` cyclic one cut to the longer input's
+    length (output ``j`` is the sum of the linear outputs ``j + L m``).  The
+    FFT length ``L`` is the first power of two at or above the output length.
+    Let ``A``, ``B`` be the exact length-``L`` transforms and ``A + E_a``, ``B
+    + E_b`` the computed ones: ``||E_a||_2 <= e_a = fft_roundoff(L,
     ||a||_2)`` and ``||A||_2 = sqrt(L) ||a||_2`` (``b`` alike), so ``||A +
     E_a||_2 <= sqrt(L) r_a``, ``r_a = ||a||_2 + e_a / sqrt(L)``.  The computed
     product ``P`` is within ``sqrt(5) u < 2 ULP`` of ``(A_k + E_ak)(B_k +
@@ -303,17 +311,21 @@ def _fast_conv(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, float]:
     ``||X||_1 / L``, and ``P - AB = E_a B + (A + E_a) E_b`` plus the
     product's rounding, so by Cauchy-Schwarz each output is within ``(e_a
     r_b + e_b r_a) / sqrt(L) + 2 ULP r_a r_b + fft_roundoff(L, ||P||_2) /
-    L``.  Each term is a product of at most two float norms, each within
-    ``(L + 4) u``, and under 30 roundings of its own: ``2 L + 40`` in all.
+    L`` of ``ifft(AB)``, the length-``L`` cyclic convolution (the linear one
+    when ``L`` covers it).  The bound is a statement about that DFT alone, so
+    it holds for both outputs and shrinks with ``L``.  Each term is a product
+    of at most two float norms, each within ``(L + 4) u``, and under 30
+    roundings of its own: ``2 L + 40`` in all.
     """
-    L = 1 << (a.size + b.size - 2).bit_length()
+    size = max(a.size, b.size) if cyclic else a.size + b.size - 1
+    L = 1 << (size - 1).bit_length()
     prod = np.fft.fft(a, L) * np.fft.fft(b, L)
     a2, b2 = float(np.linalg.norm(a)), float(np.linalg.norm(b))
     ea, eb = fft_roundoff(L, a2), fft_roundoff(L, b2)
     ra, rb = a2 + ea / math.sqrt(L), b2 + eb / math.sqrt(L)
     total = (ea * rb + eb * ra) / math.sqrt(L) + 2.0 * ULP * ra * rb
     total += fft_roundoff(L, float(np.linalg.norm(prod))) / L
-    return np.fft.ifft(prod)[: a.size + b.size - 1], cu_from_float_sum(total, 2 * L + 40).value
+    return np.fft.ifft(prod)[:size], cu_from_float_sum(total, 2 * L + 40).value
 
 
 def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
@@ -358,18 +370,24 @@ def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
 
 
 def _czt(a: np.ndarray, k: int, theta: float) -> Tuple[np.ndarray, float]:
-    """Chirp-Z sums ``A_j = sum_i a_i exp(-1j theta i j)`` via Bluestein.
+    """Chirp-Z sums ``A_j = sum_i a_i exp(-1j theta i j)``, ``j < k``, via Bluestein.
 
-    Also bounds each sum's error: `_fast_conv`'s bound on the convolution of
-    the chirped ``a`` with the chirp, plus the chirp phases (arguments off by
-    an ulp of ``theta (n + k)**2``, and the exponentials and products).
+    With one chirp ``w_j = exp(0.5j theta j**2)``, ``j < max(n, k)``, and
+    ``i j = (i**2 + j**2 - (j - i)**2) / 2``, ``A_j = conj(w_j) sum_i a_i
+    conj(w_i) w_(j - i)`` (``w_(-j) = w_j``): the convolution of the chirped
+    ``a`` with ``w_(1 - n) ... w_(k - 1)``, read at outputs ``n - 1 ... n + k -
+    2``.  The linear convolution has ``2 n + k - 2`` outputs, so in a cyclic
+    one of length ``L >= n + k - 1`` the outputs read take no wrapped term
+    (``j + L`` is past the last, ``j - L`` below 0), and `_fast_conv` runs it
+    cyclic, about half the linear FFT length.  The error is `_fast_conv`'s
+    bound plus the chirp phases (arguments off by an ulp of ``theta (n +
+    k)**2``, and the exponentials and products).
     """
-    n, m = a.size, a.size + k
-    y = a * np.exp(-0.5j * theta * np.arange(n, dtype=float) ** 2)
-    v = np.exp(0.5j * theta * np.arange(-(n - 1), k, dtype=float) ** 2)
-    core, err = _fast_conv(y, v)
-    err += ULP * (abs(theta) * m * m + 8.0) * float(np.sum(np.abs(a)))
-    return np.exp(-0.5j * theta * np.arange(k, dtype=float) ** 2) * core[n - 1 : m - 1], _up(err)
+    n = a.size
+    w = np.exp(0.5j * theta * np.arange(max(n, k), dtype=float) ** 2)
+    core, err = _fast_conv(a * w[:n].conj(), np.concatenate((w[n - 1 : 0 : -1], w[:k])), True)
+    err += ULP * (abs(theta) * (n + k) ** 2 + 8.0) * float(np.sum(np.abs(a)))
+    return w[:k].conj() * core[n - 1 : n + k - 1], _up(err)
 
 
 def _grid_sums(a: np.ndarray, x0: float, h: float, ps: np.ndarray) -> Tuple[np.ndarray, float]:
@@ -387,25 +405,48 @@ def _grid_sums(a: np.ndarray, x0: float, h: float, ps: np.ndarray) -> Tuple[np.n
 
 def _uniform_spacing(xs: np.ndarray) -> Tuple[float, float]:
     """``(h, drift)``: the mean spacing, and the largest distance of a node
-    from the float grid ``xs[0] + h * arange``."""
-    h = (float(xs[-1]) - float(xs[0])) / max(xs.size - 1, 1)
+    from the float grid ``xs[0] + h * arange`` (both 0 below two nodes)."""
+    if xs.size < 2:
+        return 0.0, 0.0
+    h = (float(xs[-1]) - float(xs[0])) / (xs.size - 1)
     return h, float(np.max(np.abs(xs - (float(xs[0]) + h * np.arange(xs.size)))))
+
+
+def _closed_form(f: PLFunction, ps: np.ndarray) -> np.ndarray:
+    """The closed-form segment sums, in slices of ``_SLICE_PAIRS`` pairs.
+
+    Each frequency's row is summed on its own, so the slices give the same
+    bits as one block, with temporaries that stay in cache.
+    """
+    Lseg, v0, dv = np.diff(f.breakpoints), f.values[:-1], np.diff(f.values)
+    rows = max(1, _SLICE_PAIRS // Lseg.size)
+    out = np.empty(ps.size, dtype=complex)
+    for lo in range(0, ps.size, rows):
+        q = ps[lo : lo + rows]
+        phi0, phi1 = _segment_moments(np.multiply.outer(q, Lseg))
+        phase = np.exp(-1j * np.multiply.outer(q, f.breakpoints[:-1]))
+        out[lo : lo + rows] = (phase * Lseg * (v0 * phi0 + dv * phi1)).sum(axis=1)
+    return out
 
 
 def fourier_eval_many(f: PLFunction, ps) -> Tuple[np.ndarray, CertUpper]:
     """Transform values at many frequencies, plus a shared error bound.
 
-    Up to ``_PAIR_CUT`` (frequency, segment) pairs the closed-form segment
-    sums run as one block.  Above it the frequencies must be a uniform grid
-    (else InvalidInput), and breakpoints not uniform to a relative 1e-9 are
-    first resampled at the spacing whose certified error (added to
-    ``l1_slack``) is 2**-10 of the input's ``l1_slack``, or on
-    ``_RESAMPLE_CAP`` nodes, with their larger error, if that is fewer.  On
-    nodes ``x_i = x0 + h i`` the function is ``sum_i v_i hat_h(x - x_i)``,
-    ``hat_h`` the triangle of half-width ``h`` and height 1, whose transform
-    is ``h sinc(p h / 2)**2``; so the transform is ``h sinc(p h / 2)**2
-    E_v(p)``, ``E_v(p) = sum_i v_i exp(-1j p x_i)``, one chirp-Z sum
-    (`_grid_sums`).
+    Two paths, by cost.  The closed-form segment sums cost about one unit per
+    (frequency, segment) pair, ``P S`` in all.  The chirp-Z path needs the
+    frequencies on a uniform grid and costs about ``_CZT_COST`` units per node
+    of ``nodes + P``: ``nodes`` is ``S`` for breakpoints uniform to a relative
+    1e-9, and otherwise the count of a resampling at the spacing whose
+    certified error (added to ``l1_slack``) is 2**-10 of the input's
+    ``l1_slack``, or on ``_RESAMPLE_CAP`` nodes, with their larger error, if
+    that is fewer.  A uniform frequency grid takes the chirp-Z path when ``P
+    S > _CZT_COST (nodes + P)``, and the closed form otherwise; other
+    frequencies take the closed form up to ``_PAIR_CUT`` pairs and are
+    InvalidInput above it.  On nodes ``x_i = x0 + h i`` the function is
+    ``sum_i v_i hat_h(x - x_i)``, ``hat_h`` the triangle of half-width ``h``
+    and height 1, whose transform is ``h sinc(p h / 2)**2``; so the transform
+    is ``h sinc(p h / 2)**2 E_v(p)``, ``E_v(p) = sum_i v_i exp(-1j p x_i)``,
+    one chirp-Z sum (`_grid_sums`).
 
     The bound is the slack plus the rounding of the formula evaluated: per
     segment ``L (|v| + |dv|)`` (``weight`` in all) times 16 ulps for the
@@ -425,20 +466,23 @@ def fourier_eval_many(f: PLFunction, ps) -> Tuple[np.ndarray, CertUpper]:
     S = f.breakpoints.size - 1
     pmax = float(np.max(np.abs(ps), initial=0.0))
     extra = phase_drift = 0.0
-    if ps.size * S <= _PAIR_CUT:
-        Lseg = np.diff(f.breakpoints)
-        phi0, phi1 = _segment_moments(np.multiply.outer(ps, Lseg))
-        phase = np.exp(-1j * np.multiply.outer(ps, f.breakpoints[:-1]))
-        out = (phase * Lseg * (f.values[:-1] * phi0 + np.diff(f.values) * phi1)).sum(axis=1)
-    else:
-        dp, drift_p = _uniform_spacing(ps)
-        if drift_p > 1e-9 * abs(dp):
+    dp, drift_p = _uniform_spacing(ps)
+    if drift_p > 1e-9 * abs(dp):
+        if ps.size * S > _PAIR_CUT:
             raise InvalidInput("above %d pairs the frequencies must be a uniform grid" % _PAIR_CUT)
+        nodes = math.inf
+    else:
         h, drift_x = _uniform_spacing(f.breakpoints)
-        if drift_x > 1e-9 * h:
+        resample, nodes = drift_x > 1e-9 * h, S
+        if resample:
             (lo, hi), sv = f.span(), _slope_variation(f)
             h = math.sqrt(f.l1_slack.value / (256.0 * sv)) if sv else hi - lo
             h = min(hi - lo, max(h, (hi - lo) / _RESAMPLE_CAP))
+            nodes = (hi - lo) / h + 2.0  # the count `_resample_uniform` makes, within one
+    if ps.size * S <= _CZT_COST * (nodes + ps.size):
+        out = _closed_form(f, ps)
+    else:
+        if resample:
             f = _resample_uniform(f, h)
             S, drift_x = f.breakpoints.size - 1, 0.0  # the nodes are the float grid itself
         ev, ev_err = _grid_sums(f.values[:-1], float(f.breakpoints[0]), h, ps)

@@ -316,7 +316,7 @@ def test_fourier_random_oracle(rng):
             assert abs(mpc(v) - mp_fourier(f, p)) <= err.value + 1e-9
 
 
-def test_fourier_fast_path_matches_generic():
+def test_fourier_fast_path_matches_generic(monkeypatch):
     n = 4000
     bp = np.linspace(-3.0, 3.0, n)
     vals = (np.sin(bp) * np.exp(-bp ** 2)).astype(complex)
@@ -329,19 +329,22 @@ def test_fourier_fast_path_matches_generic():
     far_vals[0] = far_vals[-1] = 0.0
     far = PLFunction(far_bp, far_vals)
     kernel = l1r.fejer_kernel(1.0, 2e-3)  # non-uniform breakpoints, resampled
-    # the kernel on criterion 09's first frequency grid, linspace(-2 band, 2 band)
+    grid_sums, chirps = l1r._grid_sums, []
+    monkeypatch.setattr(l1r, "_grid_sums", lambda *args: chirps.append(1) or grid_sums(*args))
+    # the kernel on criterion 09's band grid (below the cut) and first frequency
+    # grid, linspace(-2 band, 2 band)
     for f, ps in ((smooth, np.linspace(-2.0, 2.0, 3000)), (far, np.linspace(-2.0, 2.0, 3000)),
-                  (kernel, np.linspace(-1.0, 1.0, 6491))):
+                  (kernel, np.linspace(-0.5, 0.5, 257)), (kernel, np.linspace(-1.0, 1.0, 6491))):
         S = f.breakpoints.size - 1
-        assert ps.size * S > l1r._PAIR_CUT
-        fast, err_fast = l1r.fourier_eval_many(f, ps)  # chirp-Z, above the cut
-        step = l1r._PAIR_CUT // S
-        slices = [l1r.fourier_eval_many(f, ps[lo : lo + step]) for lo in range(0, ps.size, step)]
-        slow = np.concatenate([v for v, _ in slices])  # closed form, below the cut
+        chirps.clear()
+        fast, err_fast = l1r.fourier_eval_many(f, ps)
+        assert chirps  # the cost rule took chirp-Z
+        with monkeypatch.context() as m:
+            m.setattr(l1r, "_CZT_COST", math.inf)  # the closed form, at any size
+            slow, err_slow = l1r.fourier_eval_many(f, ps)
         assert float(np.max(np.abs(fast - slow))) <= err_fast.value
         # both approximate the transform of the same piecewise-linear body
-        err_slow = max(e.value for _, e in slices)
-        gap = (err_fast.value - f.l1_slack.value) + (err_slow - f.l1_slack.value)
+        gap = (err_fast.value - f.l1_slack.value) + (err_slow.value - f.l1_slack.value)
         assert float(np.max(np.abs(fast - slow))) <= gap
     # resampling costs at most 2**-9 of the slack beyond the former rounding term
     mid = 0.5 * (np.abs(f.values[:-1]) + np.abs(f.values[1:]))
@@ -350,6 +353,19 @@ def test_fourier_fast_path_matches_generic():
     assert f.l1_slack.value < err_fast.value <= f.l1_slack.value * (1 + 2.0 ** -9) + former
     with pytest.raises(InvalidInput):
         l1r.fourier_eval_many(smooth, np.sort(np.random.default_rng(0).uniform(-2.0, 2.0, 3000)))
+
+
+def test_fourier_rough_input_is_not_resampled_to_the_cap():
+    # random values at random breakpoints: the slack-driven spacing resamples
+    # onto the 2**20 cap, whose error far exceeds 2**-10 of the slack, and
+    # 2,000,000 pairs cost less than chirp-Z on those nodes
+    rng = np.random.default_rng(9)
+    bp = np.sort(rng.uniform(-5.0, 5.0, 2501))
+    vals = rng.normal(size=2501) + 1j * rng.normal(size=2501)
+    vals[0] = vals[-1] = 0.0
+    f = PLFunction(bp, vals, cu(1e-3))
+    _, err = l1r.fourier_eval_many(f, np.linspace(-4.0, 4.0, 800))
+    assert err.value <= f.l1_slack.value + 1e-9
 
 
 def test_fast_conv_bound_against_exact_convolutions():
@@ -370,12 +386,22 @@ def test_fast_conv_bound_against_exact_convolutions():
         (ints(3000, 1000), ints(3000, 1000) - 1j * ints(3000, 1000)),
         (np.array([3.0]), np.array([-2.0])),
     ]
-    for a, b in cases:
+    cyclic_cases = [
+        (ints(3000, 1000), ints(3000, 1000) - 1j * ints(3000, 1000)),
+        (ints(12000, 1000), ints(12000, 1000)),  # 7,615 of the 12,000 outputs wrap
+        (ints(5000, 1000) + 1j * ints(5000, 1000), ints(7999, 1000)),  # a chirp-Z shape
+        (ones, spike),
+    ]
+    for a, b, cyclic in [c + (False,) for c in cases] + [c + (True,) for c in cyclic_cases]:
         a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-        got, bound = l1r._fast_conv(a, b)
+        got, bound = l1r._fast_conv(a, b, cyclic)
         ar, ai, br, bi = (x.astype(np.int64) for x in (a.real, a.imag, b.real, b.imag))
         re = np.convolve(ar, br) - np.convolve(ai, bi)
         im = np.convolve(ar, bi) + np.convolve(ai, br)
+        if cyclic:  # fold the linear outputs onto the first power of two above the longer input
+            size = max(a.size, b.size)
+            idx = np.arange(re.size) % (1 << (size - 1).bit_length())
+            re, im = (np.bincount(idx, weights=x)[:size] for x in (re, im))
         assert got.shape == re.shape
         assert float(np.max(np.abs(got - (re + 1j * im)))) <= bound
 
