@@ -557,6 +557,33 @@ def _fejer_values(lam: float, xs: np.ndarray) -> np.ndarray:
     return lam * out
 
 
+def _fejer_rounding(lam: float, bp: np.ndarray, v: np.ndarray) -> CertUpper:
+    """Certified L1 norm of the rounding in the node values ``v`` of `_fejer_values`.
+
+    In units of ``u = 2**-53``, ``K = c sinc(z)**2`` with ``c = lam / (2 pi)``
+    and ``z = lam x / 2``.  The product ``y = lam x`` moves ``z`` by ``u |z|``,
+    and so ``sinc z`` by at most ``u |z sinc'| = u |cos z - sinc z| <= 2u``:
+    near the zeros of ``sin`` that is not relative to ``sinc z``.  The rest is
+    relative, ``sin`` 8 (4 ulps; libm's is under one) and the division 1, so
+    the computed ``q`` is within ``a = 2u + 9u |q|`` of ``sinc z``, and ``c
+    q**2`` within ``c a (2 |q| + a)`` of ``K``.  The square, ``2 pi``, the
+    division by it and the product by ``lam`` add 4 relative.  So a value
+    ``v`` is within ``u (22 v + 4 sqrt(c v) + 4 u c)`` of ``K``, to first
+    order in each term; the counts 24 and 5 (on ``sqrt(c v) + u c``) cover the
+    rest.  The branch ``|y| < 1e-4`` drops ``y**4 / 360 < 0.003 u`` of ``1 -
+    y**2 / 12`` and rounds 4 times (its ``y**2`` term is below ``1e-9``).
+    The error is linear between nodes, so its L1 norm is at most the sum of
+    the node errors times the trapezoid weights ``(h_(i-1) + h_i) / 2``.  A
+    term of that sum rounds at most 12 times (the weight 2, the ``sqrt``
+    branch 8, the product 1, with the sum 1 less), and ``np.sum`` adds ``m -
+    1`` for ``m`` nodes.
+    """
+    c, u = lam / (2.0 * math.pi), 2.0 ** -53
+    w = 0.5 * np.concatenate(([0.0], np.diff(bp))) + 0.5 * np.concatenate((np.diff(bp), [0.0]))
+    total = u * float(np.sum(w * (24.0 * v + 5.0 * (np.sqrt(c * v) + u * c))))
+    return cu_from_float_sum(total, v.size + 11)
+
+
 def _fejer_curvature(lam: float, x_lo: np.ndarray) -> np.ndarray:
     """Upper bound on |second derivative| of the scaled kernel past |x| >= x_lo."""
     y = lam * x_lo
@@ -566,21 +593,50 @@ def _fejer_curvature(lam: float, x_lo: np.ndarray) -> np.ndarray:
     return lam ** 3 * np.where(near, 0.05, far)
 
 
+def _fejer_nodes(lam: float, pos) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid mirrored from the node positions ``pos`` on ``[0, X]``, its
+    values and its per-segment interpolation bounds."""
+    pos = np.asarray(pos, dtype=float)
+    bp = np.concatenate([-pos[::-1][:-1], pos])
+    h_seg = np.diff(bp)
+    x_lo = np.minimum(np.abs(bp[:-1]), np.abs(bp[1:]))
+    return bp, _fejer_values(lam, bp), 0.25 * h_seg ** 3 * _fejer_curvature(lam, x_lo)
+
+
 def fejer_kernel(lam: float, support_tol: float) -> PLFunction:
     """Truncated, discretized Fejer kernel with certified L1 slack.
 
-    The discarded tail mass is bounded through the envelope
-    ``2 / (pi * lam * x**2)`` and the discretization error through a
-    curvature bound, both folded into ``l1_slack``.
+    The slack is the sum of four terms.  The discarded tail mass is bounded
+    through the envelope ``2 / (pi * lam * x**2)``; the support is cut at
+    ``X``, where that term equals ``support_tol`` (for ``support_tol <= 1 /
+    pi``).  The interpolation error, ``disc``, is the float sum over the
+    grid's segments of ``0.25 h**3`` times a bound on ``|K''|`` past the
+    segment's inner end (`_fejer_curvature`, ``lam**3 c(lam x)`` with ``c =
+    0.05`` below 1 and ``(1/y**2 + 4/y**3 + 12/y**4) / pi`` above).  The end
+    values are set to zero, which costs the edge term, and the node values'
+    rounding is `_fejer_rounding`.
 
-    ``support_tol`` sets both terms.  The support is cut where the tail
-    term equals ``support_tol`` (for ``support_tol <= 1 / pi``), and the
-    grid is refined, down to a floor on the relative step, until the
-    discretization term is at most ``1.5 * support_tol``; it lands near
-    ``support_tol`` in practice.
-    With the small edge term (the end values set to zero), the slack is
-    about ``2 * support_tol``, independent of ``lam``: ``support_tol =
-    1e-3`` gives ``l1_slack`` 0.0020.
+    Both grids are mirrored from ``[0, X]``, so they are exactly symmetric
+    and the edge term ``|v_0| h_0`` covers both ends.  They are chosen by
+    node count alone.  The uniform grid, ``linspace(0, X, n + 1)`` mirrored
+    to ``2 n + 1`` nodes, is taken when ``2 n + 1 <= _RESAMPLE_CAP``: the
+    transform then runs on it as it is, with no resampling.  Its spacing is
+    closed-form.  With ``Y = lam X`` and ``t = h lam``, one side's sum of
+    ``t c`` at the segments' inner ends is at most ``J_u + 17 t / pi``,
+    where ``J_u = 0.05 + (7 - 1/Y - 2/Y**2 - 4/Y**3) / pi`` is the integral
+    of ``c`` over ``[0, Y]`` and ``17 / pi`` its largest value: an upper
+    Riemann sum of the decreasing part, and ``c >= 0.05`` next to 1 (for ``t
+    <= 1``, every ``support_tol <= 1``).  So ``disc <= t**2 (J_u / 2 + 17 t
+    / (2 pi))``.  With ``t0 = sqrt(2 support_tol / J_u)``, ``t =
+    sqrt(support_tol / (J_u / 2 + 17 t0 / (2 pi)))`` is at most ``t0``, so
+    ``disc <= support_tol``; ``n = ceil(Y / t)`` makes the spacing at most
+    ``t / lam``.  A uniform grid's node count grows like
+    ``support_tol**-1.5``, so small tolerances take the geometric grid,
+    whose step is ``theta max(|x|, 1 / lam)``, refined by halving ``theta``
+    (down to 1e-6) until ``disc <= 1.5 support_tol``.
+
+    The slack is about ``2 * support_tol`` on either grid, independent of
+    ``lam``: ``support_tol = 1e-3`` gives ``l1_slack`` 0.0020.
     """
     if not (lam > 0.0 and support_tol > 0.0):
         raise InvalidInput("lam and support_tol must be positive")
@@ -590,30 +646,33 @@ def fejer_kernel(lam: float, support_tol: float) -> PLFunction:
 
     budget = support_tol
     Y = lam * X
-    J = 0.05 + (Y - 1.0 + 4.0 * math.log(Y) + 12.0 * (1.0 - 1.0 / Y)) / math.pi
-    theta = math.sqrt(2.0 * budget / J)
-    while True:
-        pos = [0.0]
-        x = 0.0
-        while x < X:
-            x = x + theta * max(x, 1.0 / lam)
-            pos.append(min(x, X))
-        pos = np.array(pos)
-        bp = np.concatenate([-pos[::-1][:-1], pos])
-        vals = _fejer_values(lam, bp).astype(complex)
-        edge = _up(float(abs(vals[0])) * float(bp[1] - bp[0]))
-        vals[0] = 0.0
-        vals[-1] = 0.0
-        h_seg = np.diff(bp)
-        x_lo = np.minimum(np.abs(bp[:-1]), np.abs(bp[1:]))
-        # rounding count per term: h ** 3 5, the curvature 13, two products
-        disc_terms = 0.25 * h_seg ** 3 * _fejer_curvature(lam, x_lo)
-        disc = float(np.sum(disc_terms))
-        if disc <= 1.5 * budget or theta < 1e-6:
-            break
-        theta /= 2.0
-    disc_cu = cu_from_float_sum(disc, disc_terms.size + 19)
-    slack = cu_add(cu_add(cu(tail), disc_cu), cu(_up(edge + 1e-12)))
+    J_u = 0.05 + (7.0 - 1.0 / Y - 2.0 / Y ** 2 - 4.0 / Y ** 3) / math.pi
+    t0 = math.sqrt(2.0 * budget / J_u)
+    t = math.sqrt(budget / (0.5 * J_u + 8.5 / math.pi * t0))
+    n = math.ceil(min(Y / t, _RESAMPLE_CAP))
+    if 2 * n + 1 <= _RESAMPLE_CAP:
+        bp, vals, disc_terms = _fejer_nodes(lam, np.linspace(0.0, X, n + 1))
+    else:
+        J = 0.05 + (Y - 1.0 + 4.0 * math.log(Y) + 12.0 * (1.0 - 1.0 / Y)) / math.pi
+        theta = math.sqrt(2.0 * budget / J)
+        while True:
+            pos = [0.0]
+            x = 0.0
+            while x < X:
+                x = x + theta * max(x, 1.0 / lam)
+                pos.append(min(x, X))
+            bp, vals, disc_terms = _fejer_nodes(lam, pos)
+            if float(np.sum(disc_terms)) <= 1.5 * budget or theta < 1e-6:
+                break
+            theta /= 2.0
+    rounding = _fejer_rounding(lam, bp, vals)
+    edge = _up(float(vals[0]) * float(bp[1] - bp[0]))
+    vals = vals.astype(complex)
+    vals[0] = 0.0
+    vals[-1] = 0.0
+    # rounding count per term: h ** 3 5, the curvature 13, two products
+    disc_cu = cu_from_float_sum(float(np.sum(disc_terms)), disc_terms.size + 19)
+    slack = cu_add(cu_add(cu(tail), disc_cu), cu_add(cu(edge), rounding))
     return PLFunction(bp, vals, slack)
 
 

@@ -1,5 +1,6 @@
 """Line convolution algebra: norms, convolution, transforms, kernels, division."""
 
+import hashlib
 import math
 
 import mpmath
@@ -328,13 +329,18 @@ def test_fourier_fast_path_matches_generic(monkeypatch):
     far_vals = np.exp(-((far_bp - 503.0) ** 2)) * np.exp(2j * far_bp)
     far_vals[0] = far_vals[-1] = 0.0
     far = PLFunction(far_bp, far_vals)
-    kernel = l1r.fejer_kernel(1.0, 2e-3)  # non-uniform breakpoints, resampled
+    # a bump on a geometric grid, with a slack: non-uniform breakpoints, resampled
+    pos = np.geomspace(1e-2, 30.0, 800)
+    bump_bp = np.concatenate((-pos[::-1], [0.0], pos))
+    bump_vals = (1.0 / (1.0 + bump_bp ** 2)).astype(complex)
+    bump_vals[0] = bump_vals[-1] = 0.0
+    bump = PLFunction(bump_bp, bump_vals, cu(4e-3))
     grid_sums, chirps = l1r._grid_sums, []
     monkeypatch.setattr(l1r, "_grid_sums", lambda *args: chirps.append(1) or grid_sums(*args))
-    # the kernel on criterion 09's band grid (below the cut) and first frequency
-    # grid, linspace(-2 band, 2 band)
+    # the bump on criterion 09's band grid and first frequency grid,
+    # linspace(-2 band, 2 band)
     for f, ps in ((smooth, np.linspace(-2.0, 2.0, 3000)), (far, np.linspace(-2.0, 2.0, 3000)),
-                  (kernel, np.linspace(-0.5, 0.5, 257)), (kernel, np.linspace(-1.0, 1.0, 6491))):
+                  (bump, np.linspace(-0.5, 0.5, 257)), (bump, np.linspace(-1.0, 1.0, 6491))):
         S = f.breakpoints.size - 1
         chirps.clear()
         fast, err_fast = l1r.fourier_eval_many(f, ps)
@@ -456,6 +462,76 @@ def test_fejer_kernel_mass_and_positivity():
     n = l1r.norm_l1(k).value
     assert abs(n - 1.0) <= 2.0 * k.l1_slack.value + 5e-3
     assert k.l1_slack.value <= 5e-3
+
+
+def test_fejer_kernel_grid_rule():
+    # uniform below _RESAMPLE_CAP nodes: the line_divide kernel and its
+    # smoothing kernel, criterion 09's and criterion 10's top rung, each at a
+    # slack no larger than the geometric grid gives at that shape
+    for lam, tol, geometric_slack in ((1.05, 4e-3, 0.008002597204827839),
+                                      (1.0, 2e-3, 0.003998672161919863),
+                                      (0.5, 2e-3, 0.003998672161919863),
+                                      (64.0, 1e-3, 0.0020003525029991804)):
+        k = l1r.fejer_kernel(lam, tol)
+        h, drift = l1r._uniform_spacing(k.breakpoints)
+        assert drift <= 1e-9 * h
+        assert k.l1_slack.value <= geometric_slack
+    # criterion 08's kernel would need 2.7M uniform nodes, so it keeps the
+    # geometric grid, whose breakpoints the digest pins
+    k = l1r.fejer_kernel(1.0, 1e-4)
+    assert k.breakpoints.size == 94293
+    digest = hashlib.sha256(k.breakpoints.tobytes()).hexdigest()
+    assert digest == "cbdb92789800b705deea0979ae7e6af3a9792e736a7aa59820d84ad7282575ed"
+
+
+_GAUSS_LEGENDRE = mpmath.calculus.quadrature.GaussLegendre(mpmath.mp).calc_nodes(3, 128)
+
+
+def mp_fejer_distance(k: PLFunction, lam: float) -> mpmath.mpf:
+    """128-bit ``int |K_lam - k|`` over the line: 12-point Gauss-Legendre on
+    each segment of ``[-X, X]``, plus the exact tail ``1 - int_(-X)^X K_lam =
+    1 - (2 / pi) (Si(Y) - (1 - cos Y) / Y)``, ``Y = lam X``."""
+    total = mpmath.mpf(0)
+    for i in range(k.breakpoints.size - 1):
+        a, b = mpmath.mpf(k.breakpoints[i]), mpmath.mpf(k.breakpoints[i + 1])
+        va, vb = mpmath.mpf(k.values[i].real), mpmath.mpf(k.values[i + 1].real)
+        half = (b - a) / 2
+        total += half * mpmath.fsum(
+            w * abs(mp_fejer(lam, a + half * (1 + x)) - (va + (vb - va) * (1 + x) / 2))
+            for x, w in _GAUSS_LEGENDRE)
+    Y = mpmath.mpf(lam) * mpmath.mpf(k.breakpoints[-1])
+    return total + 1 - 2 / mpmath.pi * (mpmath.si(Y) - (1 - mpmath.cos(Y)) / Y)
+
+
+def test_fejer_slack_against_128bit_distance(monkeypatch):
+    # a coarse kernel on each grid: the slack covers the exact distance from K_lam
+    uniform = l1r.fejer_kernel(1.0, 0.05)
+    monkeypatch.setattr(l1r, "_RESAMPLE_CAP", 0)
+    geometric = l1r.fejer_kernel(1.0, 0.05)
+    h, drift = l1r._uniform_spacing(uniform.breakpoints)
+    assert drift <= 1e-9 * h and uniform.breakpoints.size > 2 * geometric.breakpoints.size
+    for k in (uniform, geometric):
+        assert mp_fejer_distance(k, 1.0) <= k.l1_slack.value
+
+
+def test_fejer_rounding_against_128bit_values():
+    # kernel nodes, nodes next to the zeros of sin(lam x / 2), where a value's
+    # error is not relative to it, and nodes on the |lam x| < 1e-4 branch
+    lam = 1.7
+    zeros = 2.0 * math.pi * np.arange(1, 400) / lam
+    xs = np.unique(np.concatenate((l1r.fejer_kernel(lam, 0.05).breakpoints, zeros,
+                                   zeros * (1.0 + 2.0 ** -40), np.linspace(-1e-4, 1e-4, 41))))
+    vals = l1r._fejer_values(lam, xs)
+    # each value v within u (24 v + 5 (sqrt(c v) + u c)) of 128-bit K, c = lam / (2 pi)
+    errs = [abs(mpmath.mpf(v) - mp_fejer(lam, x)) for x, v in zip(xs, vals)]
+    c, u = lam / (2.0 * math.pi), 2.0 ** -53
+    per_value = u * (24.0 * vals + 5.0 * (np.sqrt(c * vals) + u * c))
+    assert all(e <= b for e, b in zip(errs, per_value))
+    assert max(e / b for e, b in zip(errs, per_value) if b > 0) > 0.01  # the bound is not vacuous
+    # the L1 norm of their piecewise-linear interpolant, by trapezoid weights
+    weights = np.diff(np.concatenate(([xs[0]], 0.5 * (xs[1:] + xs[:-1]), [xs[-1]])))
+    l1 = mpmath.fsum(mpmath.mpf(w) * e for w, e in zip(weights, errs))
+    assert l1 <= l1r._fejer_rounding(lam, xs, vals).value
 
 
 def test_fejer_hat_tent_shape():
