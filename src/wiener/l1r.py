@@ -5,15 +5,16 @@ an L1 slack: a :class:`PLFunction` stands for every true integrable
 function within ``l1_slack`` of it in the one-norm.  Convolution,
 Fourier evaluation, the Fejer and De la Vallee Poussin kernels, and the
 Tauberian division algorithm all maintain that certified reading.  Fourier
-evaluation is closed-form segment sums or, whichever costs less, on a
-uniform grid ``x_i = x0 + h i`` the triangle identity: the function is
-``sum_i v_i hat_h(x - x_i)``, ``hat_h`` the triangle of half-width ``h``
-whose transform is ``h sinc(p h / 2)**2``, so its transform is that times
-one chirp-Z sum ``sum_i v_i exp(-i p x_i)``.  That path's error is ``h``
+evaluation is closed-form segment sums or, when the breakpoints are a
+uniform grid ``x_i = x0 + h i`` as given, the frequencies are uniform and
+it costs less, the triangle identity: the function is ``sum_i v_i
+hat_h(x - x_i)``, ``hat_h`` the triangle of half-width ``h`` whose
+transform is ``h sinc(p h / 2)**2``, so its transform is that times one
+chirp-Z sum ``sum_i v_i exp(-i p x_i)``.  That path's error is ``h``
 times the chirp-Z error, ``2 drift_x sum|v|`` and a ``drift_p`` term for
-grids off uniform (the float grid's node rounding included, also on a
-resampled grid), and the rounding term it shares with the closed form
-(`fourier_eval_many`).  The one-norm is the
+grids off uniform (the float grid's node rounding included), and the
+rounding term it shares with the closed form (`fourier_eval_many`).  The
+one-norm is the
 exact integral of ``|f|`` on each segment, in closed form, with a derived
 rounding bound.
 
@@ -57,8 +58,7 @@ from .errors import (
 )
 
 _NODE_CAP = 2 ** 23
-_PAIR_CUT = 1 << 20
-_RESAMPLE_CAP = 1 << 20
+_UNIFORM_CAP = 1 << 20  # most nodes of a uniform Fejer grid (`fejer_kernel`)
 #: chirp-Z cost per node over the closed form's per pair (`fourier_eval_many`); with
 #: each path forced, the measured break-even was 1.7-5.0, median 3.6 (2 vCPU x86-64)
 _CZT_COST = 4.0
@@ -277,8 +277,11 @@ def _interp_roundoff(nodes: np.ndarray, *fs: PLFunction) -> CertUpper:
 # convolution
 
 
-def _resample_uniform(f: PLFunction, h: float) -> PLFunction:
-    """Uniform-grid re-interpolation; its certified L1 error joins the slack."""
+def _resample_uniform(f: PLFunction, h: float, sv: float) -> PLFunction:
+    """Uniform-grid re-interpolation; its certified L1 error joins the slack.
+
+    ``sv`` is ``f``'s `_slope_variation`, which the caller has at hand.
+    """
     lo, hi = f.span()
     # the extra node guarantees the grid covers the support even after
     # rounding inside ceil
@@ -289,7 +292,7 @@ def _resample_uniform(f: PLFunction, h: float) -> PLFunction:
     vals = evaluate(f, bp)
     vals[0] = 0.0
     vals[-1] = 0.0
-    err = cu(_up(0.25 * h * h * _slope_variation(f)))
+    err = cu(_up(0.25 * h * h * sv))
     return PLFunction(bp, vals, cu_add(cu_add(f.l1_slack, err), _interp_roundoff(bp, f)))
 
 
@@ -345,8 +348,8 @@ def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
     if span / h > _NODE_CAP:
         raise ToleranceUnreachable("tolerance unreachable")
 
-    fh = _resample_uniform(f, h)
-    gh = _resample_uniform(g, h)
+    fh = _resample_uniform(f, h, sv_f)
+    gh = _resample_uniform(g, h, sv_g)
     w, node_err = _fast_conv(fh.values, gh.values)
     stencil = np.array([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0])
     nodes = h * np.convolve(w, stencil)
@@ -432,21 +435,20 @@ def _closed_form(f: PLFunction, ps: np.ndarray) -> np.ndarray:
 def fourier_eval_many(f: PLFunction, ps) -> Tuple[np.ndarray, CertUpper]:
     """Transform values at many frequencies, plus a shared error bound.
 
-    Two paths, by cost.  The closed-form segment sums cost about one unit per
-    (frequency, segment) pair, ``P S`` in all.  The chirp-Z path needs the
-    frequencies on a uniform grid and costs about ``_CZT_COST`` units per node
-    of ``nodes + P``: ``nodes`` is ``S`` for breakpoints uniform to a relative
-    1e-9, and otherwise the count of a resampling at the spacing whose
-    certified error (added to ``l1_slack``) is 2**-10 of the input's
-    ``l1_slack``, or on ``_RESAMPLE_CAP`` nodes, with their larger error, if
-    that is fewer.  A uniform frequency grid takes the chirp-Z path when ``P
-    S > _CZT_COST (nodes + P)``, and the closed form otherwise; other
-    frequencies take the closed form up to ``_PAIR_CUT`` pairs and are
-    InvalidInput above it.  On nodes ``x_i = x0 + h i`` the function is
-    ``sum_i v_i hat_h(x - x_i)``, ``hat_h`` the triangle of half-width ``h``
-    and height 1, whose transform is ``h sinc(p h / 2)**2``; so the transform
-    is ``h sinc(p h / 2)**2 E_v(p)``, ``E_v(p) = sum_i v_i exp(-1j p x_i)``,
-    one chirp-Z sum (`_grid_sums`).
+    Two paths.  The closed-form segment sums cost about one unit per
+    (frequency, segment) pair, ``P S`` in all, and take any input (in slices
+    of ``_SLICE_PAIRS`` pairs, so memory does not grow with ``P S``).  The
+    chirp-Z path costs about ``_CZT_COST`` units per node of ``S + P``, and
+    is taken only when the breakpoints as given and the frequencies are both
+    uniform (each to a relative 1e-9) and ``P S > _CZT_COST (S + P)``.  On
+    nodes ``x_i = x0 + h i`` the function is ``sum_i v_i hat_h(x - x_i)``,
+    ``hat_h`` the triangle of half-width ``h`` and height 1, whose transform
+    is ``h sinc(p h / 2)**2``; so the transform is ``h sinc(p h / 2)**2
+    E_v(p)``, ``E_v(p) = sum_i v_i exp(-1j p x_i)``, one chirp-Z sum
+    (`_grid_sums`).  Breakpoints that are not uniform take the closed form
+    as given, at any size: on large inputs that is slower than chirp-Z on a
+    resampling would be, but the bound carries no resampling error (the
+    README gives the measured trade).
 
     The bound is the slack plus the rounding of the formula evaluated: per
     segment ``L (|v| + |dv|)`` (``weight`` in all) times 16 ulps for the
@@ -458,38 +460,25 @@ def fourier_eval_many(f: PLFunction, ps) -> Tuple[np.ndarray, CertUpper]:
     a frequency within ``drift_p`` of the ``q_j`` of `_grid_sums` moves the
     phase of node ``i`` by ``h i drift_p``, ``weight span drift_p`` in all.
     Each drift is the one `_uniform_spacing` measures from the float grid
-    ``x0 + h * arange`` (zero for resampled nodes, which are that grid) plus
-    that grid's own rounding, ``u |h i| + u |x_i| <= 3 u max|x|``: with the
-    measurement's rounding, below ``2 ULP max|x|``.
+    ``x0 + h * arange`` plus that grid's own rounding, ``u |h i| + u |x_i|
+    <= 3 u max|x|``: with the measurement's rounding, below ``2 ULP
+    max|x|``.
     """
     ps = np.asarray(ps, dtype=float)
     S = f.breakpoints.size - 1
     pmax = float(np.max(np.abs(ps), initial=0.0))
     extra = phase_drift = 0.0
     dp, drift_p = _uniform_spacing(ps)
-    if drift_p > 1e-9 * abs(dp):
-        if ps.size * S > _PAIR_CUT:
-            raise InvalidInput("above %d pairs the frequencies must be a uniform grid" % _PAIR_CUT)
-        nodes = math.inf
-    else:
-        h, drift_x = _uniform_spacing(f.breakpoints)
-        resample, nodes = drift_x > 1e-9 * h, S
-        if resample:
-            (lo, hi), sv = f.span(), _slope_variation(f)
-            h = math.sqrt(f.l1_slack.value / (256.0 * sv)) if sv else hi - lo
-            h = min(hi - lo, max(h, (hi - lo) / _RESAMPLE_CAP))
-            nodes = (hi - lo) / h + 2.0  # the count `_resample_uniform` makes, within one
-    if ps.size * S <= _CZT_COST * (nodes + ps.size):
-        out = _closed_form(f, ps)
-    else:
-        if resample:
-            f = _resample_uniform(f, h)
-            S, drift_x = f.breakpoints.size - 1, 0.0  # the nodes are the float grid itself
+    h, drift_x = _uniform_spacing(f.breakpoints)
+    if (ps.size * S > _CZT_COST * (S + ps.size) and drift_p <= 1e-9 * abs(dp)
+            and drift_x <= 1e-9 * h):
         ev, ev_err = _grid_sums(f.values[:-1], float(f.breakpoints[0]), h, ps)
         out = h * np.sinc(ps * h / (2.0 * math.pi)) ** 2 * ev
         drift_x += 2.0 * ULP * max(map(abs, f.span()))  # the float grid's own rounding
         extra = h * ev_err + 2.0 * drift_x * float(np.sum(np.abs(f.values)))
         phase_drift = (drift_p + 2.0 * ULP * pmax) * S * h
+    else:
+        out = _closed_form(f, ps)
     bp, vals = f.breakpoints, f.values
     weight = float(np.sum(np.diff(bp) * (np.abs(vals[:-1]) + np.abs(np.diff(vals)))))
     xmax = max(abs(float(bp[0])), abs(float(bp[-1])))
@@ -619,8 +608,8 @@ def fejer_kernel(lam: float, support_tol: float) -> PLFunction:
     Both grids are mirrored from ``[0, X]``, so they are exactly symmetric
     and the edge term ``|v_0| h_0`` covers both ends.  They are chosen by
     node count alone.  The uniform grid, ``linspace(0, X, n + 1)`` mirrored
-    to ``2 n + 1`` nodes, is taken when ``2 n + 1 <= _RESAMPLE_CAP``: the
-    transform then runs on it as it is, with no resampling.  Its spacing is
+    to ``2 n + 1`` nodes, is taken when ``2 n + 1 <= _UNIFORM_CAP``: the
+    transform's chirp-Z path then runs on it as it is.  Its spacing is
     closed-form.  With ``Y = lam X`` and ``t = h lam``, one side's sum of
     ``t c`` at the segments' inner ends is at most ``J_u + 17 t / pi``,
     where ``J_u = 0.05 + (7 - 1/Y - 2/Y**2 - 4/Y**3) / pi`` is the integral
@@ -632,8 +621,13 @@ def fejer_kernel(lam: float, support_tol: float) -> PLFunction:
     ``disc <= support_tol``; ``n = ceil(Y / t)`` makes the spacing at most
     ``t / lam``.  A uniform grid's node count grows like
     ``support_tol**-1.5``, so small tolerances take the geometric grid,
-    whose step is ``theta max(|x|, 1 / lam)``, refined by halving ``theta``
-    (down to 1e-6) until ``disc <= 1.5 support_tol``.
+    whose step is ``theta max(|x|, 1 / lam)`` with ``theta = sqrt(2
+    support_tol / J)``, ``J`` the integral of ``max(y, 1)**2 c(y)`` over
+    ``[0, Y]``: the Riemann-sum estimate of ``disc = support_tol``.  That
+    grid depends on ``lam`` only through ``Y``, and its ``disc`` is
+    0.995-1.009 of ``support_tol`` for tolerances from 1e-6 to 0.1; the
+    slack takes the float sum over the actual grid, so no bound rests on
+    the estimate.
 
     The slack is about ``2 * support_tol`` on either grid, independent of
     ``lam``: ``support_tol = 1e-3`` gives ``l1_slack`` 0.0020.
@@ -649,22 +643,17 @@ def fejer_kernel(lam: float, support_tol: float) -> PLFunction:
     J_u = 0.05 + (7.0 - 1.0 / Y - 2.0 / Y ** 2 - 4.0 / Y ** 3) / math.pi
     t0 = math.sqrt(2.0 * budget / J_u)
     t = math.sqrt(budget / (0.5 * J_u + 8.5 / math.pi * t0))
-    n = math.ceil(min(Y / t, _RESAMPLE_CAP))
-    if 2 * n + 1 <= _RESAMPLE_CAP:
+    n = math.ceil(min(Y / t, _UNIFORM_CAP))
+    if 2 * n + 1 <= _UNIFORM_CAP:
         bp, vals, disc_terms = _fejer_nodes(lam, np.linspace(0.0, X, n + 1))
     else:
         J = 0.05 + (Y - 1.0 + 4.0 * math.log(Y) + 12.0 * (1.0 - 1.0 / Y)) / math.pi
         theta = math.sqrt(2.0 * budget / J)
-        while True:
-            pos = [0.0]
-            x = 0.0
-            while x < X:
-                x = x + theta * max(x, 1.0 / lam)
-                pos.append(min(x, X))
-            bp, vals, disc_terms = _fejer_nodes(lam, pos)
-            if float(np.sum(disc_terms)) <= 1.5 * budget or theta < 1e-6:
-                break
-            theta /= 2.0
+        pos, x = [0.0], 0.0
+        while x < X:
+            x = x + theta * max(x, 1.0 / lam)
+            pos.append(min(x, X))
+        bp, vals, disc_terms = _fejer_nodes(lam, pos)
     rounding = _fejer_rounding(lam, bp, vals)
     edge = _up(float(vals[0]) * float(bp[1] - bp[0]))
     vals = vals.astype(complex)

@@ -329,19 +329,9 @@ def test_fourier_fast_path_matches_generic(monkeypatch):
     far_vals = np.exp(-((far_bp - 503.0) ** 2)) * np.exp(2j * far_bp)
     far_vals[0] = far_vals[-1] = 0.0
     far = PLFunction(far_bp, far_vals)
-    # a bump on a geometric grid, with a slack: non-uniform breakpoints, resampled
-    pos = np.geomspace(1e-2, 30.0, 800)
-    bump_bp = np.concatenate((-pos[::-1], [0.0], pos))
-    bump_vals = (1.0 / (1.0 + bump_bp ** 2)).astype(complex)
-    bump_vals[0] = bump_vals[-1] = 0.0
-    bump = PLFunction(bump_bp, bump_vals, cu(4e-3))
     grid_sums, chirps = l1r._grid_sums, []
     monkeypatch.setattr(l1r, "_grid_sums", lambda *args: chirps.append(1) or grid_sums(*args))
-    # the bump on criterion 09's band grid and first frequency grid,
-    # linspace(-2 band, 2 band)
-    for f, ps in ((smooth, np.linspace(-2.0, 2.0, 3000)), (far, np.linspace(-2.0, 2.0, 3000)),
-                  (bump, np.linspace(-0.5, 0.5, 257)), (bump, np.linspace(-1.0, 1.0, 6491))):
-        S = f.breakpoints.size - 1
+    for f, ps in ((smooth, np.linspace(-2.0, 2.0, 3000)), (far, np.linspace(-2.0, 2.0, 3000))):
         chirps.clear()
         fast, err_fast = l1r.fourier_eval_many(f, ps)
         assert chirps  # the cost rule took chirp-Z
@@ -352,19 +342,35 @@ def test_fourier_fast_path_matches_generic(monkeypatch):
         # both approximate the transform of the same piecewise-linear body
         gap = (err_fast.value - f.l1_slack.value) + (err_slow.value - f.l1_slack.value)
         assert float(np.max(np.abs(fast - slow))) <= gap
-    # resampling costs at most 2**-9 of the slack beyond the former rounding term
-    mid = 0.5 * (np.abs(f.values[:-1]) + np.abs(f.values[1:]))
-    body = float(np.sum(mid * np.diff(f.breakpoints)))
-    former = 64.0 * 2.0 ** -52 * (S + 8.0) * body
-    assert f.l1_slack.value < err_fast.value <= f.l1_slack.value * (1 + 2.0 ** -9) + former
-    with pytest.raises(InvalidInput):
-        l1r.fourier_eval_many(smooth, np.sort(np.random.default_rng(0).uniform(-2.0, 2.0, 3000)))
+    # a bump on a geometric grid, with a slack, on criterion 09's band grid:
+    # breakpoints that are not uniform take the closed form, whose error is
+    # the slack and the rounding term, with no resampling term
+    pos = np.geomspace(1e-2, 30.0, 800)
+    bump_bp = np.concatenate((-pos[::-1], [0.0], pos))
+    bump_vals = (1.0 / (1.0 + bump_bp ** 2)).astype(complex)
+    bump_vals[0] = bump_vals[-1] = 0.0
+    bump = PLFunction(bump_bp, bump_vals, cu(4e-3))
+    chirps.clear()
+    _, err = l1r.fourier_eval_many(bump, np.linspace(-0.5, 0.5, 257))
+    assert not chirps
+    mid = 0.5 * (np.abs(bump_vals[:-1]) + np.abs(bump_vals[1:]))
+    body = float(np.sum(mid * np.diff(bump_bp)))
+    former = 64.0 * 2.0 ** -52 * (bump_bp.size - 1 + 8.0) * body
+    assert bump.l1_slack.value < err.value <= bump.l1_slack.value + former
+    # frequencies off a uniform grid take the closed form at any pair count
+    qs = np.sort(np.random.default_rng(0).uniform(-2.0, 2.0, 300))
+    assert qs.size * (smooth.breakpoints.size - 1) > 1 << 20
+    vals, _ = l1r.fourier_eval_many(smooth, qs)
+    assert not chirps
+    for j in (0, 150, 299):
+        v, err = l1r.fourier_eval(smooth, float(qs[j]))
+        assert abs(vals[j] - v) <= err.value
 
 
 def test_fourier_rough_input_is_not_resampled_to_the_cap():
-    # random values at random breakpoints: the slack-driven spacing resamples
-    # onto the 2**20 cap, whose error far exceeds 2**-10 of the slack, and
-    # 2,000,000 pairs cost less than chirp-Z on those nodes
+    # random values at random breakpoints: breakpoints that are not uniform
+    # take the closed form at any size, here 2,000,000 pairs, so the error
+    # stays at the slack plus rounding
     rng = np.random.default_rng(9)
     bp = np.sort(rng.uniform(-5.0, 5.0, 2501))
     vals = rng.normal(size=2501) + 1j * rng.normal(size=2501)
@@ -465,7 +471,7 @@ def test_fejer_kernel_mass_and_positivity():
 
 
 def test_fejer_kernel_grid_rule():
-    # uniform below _RESAMPLE_CAP nodes: the line_divide kernel and its
+    # uniform below _UNIFORM_CAP nodes: the line_divide kernel and its
     # smoothing kernel, criterion 09's and criterion 10's top rung, each at a
     # slack no larger than the geometric grid gives at that shape
     for lam, tol, geometric_slack in ((1.05, 4e-3, 0.008002597204827839),
@@ -506,7 +512,7 @@ def mp_fejer_distance(k: PLFunction, lam: float) -> mpmath.mpf:
 def test_fejer_slack_against_128bit_distance(monkeypatch):
     # a coarse kernel on each grid: the slack covers the exact distance from K_lam
     uniform = l1r.fejer_kernel(1.0, 0.05)
-    monkeypatch.setattr(l1r, "_RESAMPLE_CAP", 0)
+    monkeypatch.setattr(l1r, "_UNIFORM_CAP", 0)
     geometric = l1r.fejer_kernel(1.0, 0.05)
     h, drift = l1r._uniform_spacing(uniform.breakpoints)
     assert drift <= 1e-9 * h and uniform.breakpoints.size > 2 * geometric.breakpoints.size
