@@ -113,7 +113,10 @@ def integrate(
     The bound is ``(b - a) * modulus(h / 2)`` plus arithmetic slack,
     exactly the subinterval-cutting estimate behind the mean-value
     inequality.  Pass ``tol`` to have the panel count chosen by
-    doubling, or ``panels`` to fix it.
+    doubling, or ``panels`` to fix it.  With ``tol`` the bound returned is
+    at most ``tol``, or ``ToleranceUnreachable`` is raised: a panel count is
+    evaluated only once its quadrature term is within ``tol`` less the
+    rounding term of the last count evaluated.
     """
     if b < a:
         raise InvalidInput("integration bounds must satisfy a <= b")
@@ -122,15 +125,24 @@ def integrate(
     if b == a:
         return l1z.zero(), CU_ZERO
     width = b - a
-    if panels is None:
-        if tol is None:
-            raise InvalidInput("need either tol or panels")
-        panels = 1
-        while _quad_err(curve.modulus, width, panels).value > tol:
-            panels *= 2
-            if panels > _PANEL_CAP:
-                raise ToleranceUnreachable("tolerance unreachable")
-    h = width / panels
+    if panels is None and tol is None:
+        raise InvalidInput("need either tol or panels")
+    n, rounding = panels or 1, 0.0
+    while True:
+        quad = _quad_err(curve.modulus, width, n)
+        if panels is not None or quad.value <= tol - rounding:
+            value, bound = _midpoint(curve, a, width / n, n)
+            err = cu_add(quad, bound)
+            if tol is None or err.value <= tol:
+                return value, err
+            rounding = bound.value
+        n *= 2
+        if panels is not None or n > _PANEL_CAP:
+            raise ToleranceUnreachable("tolerance unreachable")
+
+
+def _midpoint(curve: BanachCurve, a: float, h: float, panels: int) -> Tuple[L1ZSeq, CertUpper]:
+    """The midpoint sum on ``panels`` panels of width ``h``, and a bound on its rounding."""
     mass = 0.0
 
     def values():
@@ -144,11 +156,7 @@ def integrate(
     # roundoff against h sum f(t_i): h (1), h c (1) and up to panels - 1 sums per
     # index (normwise by Minkowski), in units of u of h sum_i ||f(t_i)||; ULP = 2u
     # covers the second order.  That mass: |c| (2), an fsum (1), panels - 1 sums
-    bound = cu_mul(cu_from_float_sum(mass, panels + 2), cu(_up(h * (panels + 1) * ULP)))
-    err = cu_add(_quad_err(curve.modulus, width, panels), bound)
-    if tol is not None and err.value > tol and panels >= _PANEL_CAP:
-        raise ToleranceUnreachable("tolerance unreachable")
-    return value, err
+    return value, cu_mul(cu_from_float_sum(mass, panels + 2), cu(_up(h * (panels + 1) * ULP)))
 
 
 def _check_panels(panels: int):

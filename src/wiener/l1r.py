@@ -18,12 +18,18 @@ one-norm is the
 exact integral of ``|f|`` on each segment, in closed form, with a derived
 rounding bound.
 
-Convolution strategy: both inputs are resampled onto a common uniform
-grid (certified resampling error), the exact node values of the
-convolution of the resampled pair are computed by a discrete convolution
-smoothed with the hat-times-hat stencil ``[1/6, 2/3, 1/6]``, and the
-piecewise-linear interpolation error of the exact (piecewise-cubic)
-convolution is certified through total-variation bounds.
+Convolution strategy: both inputs are resampled to node values on a
+common uniform grid, the exact node values of the convolution of the
+resampled pair are computed by a discrete convolution smoothed with the
+hat-times-hat stencil ``[1/6, 2/3, 1/6]``, and the result is their
+piecewise-linear interpolant.  Its slack has four terms: the resampling
+error ``e_f = h**2 sv_f / 4`` plus the evaluation rounding (``sv_f`` the
+kink mass of ``f``), the interpolation error of the exact
+(piecewise-cubic) convolution, ``h**2 / 4`` times ``1.01 tv_f tv_g`` (the
+total variations; 1.01 is a margin), the FFT rounding of the node values,
+and the cross term ``cu_cross(s_f + e_f, nf + e_f, s_g + e_g, ng + e_g)``
+(``s_f`` the slack, ``nf`` the `norm_l1` of ``f``), which carries the
+inputs' slack and the resampling through the product (`convolve`).
 """
 
 from __future__ import annotations
@@ -207,24 +213,21 @@ def norm_l1(f: PLFunction) -> CertUpper:
     return cu_add(_mass_upper(f, _MASS_TERMS), f.l1_slack)
 
 
-def _value_variation(f: PLFunction) -> float:
-    """Upper bound on the total variation of f (zero outside the support)."""
-    # rounding count: a difference and its modulus (3), np.sum of m - 1 terms
-    tv = float(np.sum(np.abs(np.diff(f.values))))
-    return cu_from_float_sum(tv, f.values.size + 1).value
+def _variations(f: PLFunction) -> Tuple[float, float]:
+    """Upper bounds on the total variation of f and of f' (zero outside the support).
 
-
-def _slope_variation(f: PLFunction) -> float:
-    """Upper bound on the variation of f' as a measure (kink jump mass).
-
-    Rounding count for ``n`` slopes, each within ``3u`` of its modulus: the
-    jumps lose ``6u sum |s_i| <= 3n u V`` (``V >= 2 max |s_i|``), so ``3n``;
-    a jump's difference and modulus 3, the sum ``n``.
+    The first is ``sum |v_(i+1) - v_i|``: a difference and its modulus (3),
+    ``np.sum`` of ``m - 1`` terms.  The second is the kink jump mass of f'
+    as a measure.  Rounding count for ``n`` slopes, each within ``3u`` of its
+    modulus: the jumps lose ``6u sum |s_i| <= 3n u V`` (``V >= 2 max |s_i|``),
+    so ``3n``; a jump's difference and modulus 3, the sum ``n``.
     """
-    slopes = np.diff(f.values) / np.diff(f.breakpoints)
+    dv = np.diff(f.values)
+    tv = cu_from_float_sum(float(np.sum(np.abs(dv))), f.values.size + 1).value
+    slopes = dv / np.diff(f.breakpoints)
     jumps = np.abs(np.diff(slopes))
     total = abs(slopes[0]) + float(np.sum(jumps)) + abs(slopes[-1])
-    return cu_from_float_sum(total, 4 * slopes.size + 3).value
+    return tv, cu_from_float_sum(total, 4 * slopes.size + 3).value
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +280,15 @@ def _interp_roundoff(nodes: np.ndarray, *fs: PLFunction) -> CertUpper:
 # convolution
 
 
-def _resample_uniform(f: PLFunction, h: float, sv: float) -> PLFunction:
-    """Uniform-grid re-interpolation; its certified L1 error joins the slack.
+def _resample_uniform(f: PLFunction, h: float, sv: float) -> Tuple[np.ndarray, CertUpper]:
+    """Node values of ``f`` at ``lo + h i`` (``lo`` its left end), and their certified L1 error.
 
-    ``sv`` is ``f``'s `_slope_variation`, which the caller has at hand.
+    The nodes cover the support, and the outer two values are set to 0.  The
+    piecewise-linear interpolant ``fh`` of the exact values is within ``h**2
+    sv / 4`` of ``f`` in the one-norm, where ``sv`` is ``f``'s slope
+    variation (`_variations`, which the caller has at hand); the computed
+    values add `_interp_roundoff`.  The error ``e_f`` returned is the sum of
+    the two, so ``||fh - f|| <= e_f`` and ``||fh|| <= ||f|| + e_f``.
     """
     lo, hi = f.span()
     # the extra node guarantees the grid covers the support even after
@@ -292,8 +300,7 @@ def _resample_uniform(f: PLFunction, h: float, sv: float) -> PLFunction:
     vals = evaluate(f, bp)
     vals[0] = 0.0
     vals[-1] = 0.0
-    err = cu(_up(0.25 * h * h * sv))
-    return PLFunction(bp, vals, cu_add(cu_add(f.l1_slack, err), _interp_roundoff(bp, f)))
+    return vals, cu_add(cu(_up(0.25 * h * h * sv)), _interp_roundoff(bp, f))
 
 
 def _fast_conv(a: np.ndarray, b: np.ndarray, cyclic: bool = False) -> Tuple[np.ndarray, float]:
@@ -332,40 +339,58 @@ def _fast_conv(a: np.ndarray, b: np.ndarray, cyclic: bool = False) -> Tuple[np.n
 
 
 def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
-    """Convolution with certified L1 error at most ``tol`` plus slack terms."""
+    """Convolution with certified L1 error at most ``tol`` plus slack terms.
+
+    Let ``F``, ``G`` be the true inputs, within ``s_f``, ``s_g`` (the
+    ``l1_slack``) of ``f``, ``g``, and ``fh``, ``gh`` the resampled inputs,
+    within ``e_f``, ``e_g`` of ``f``, ``g`` (`_resample_uniform`).  The result's
+    slack is the sum of three terms:
+
+    - the interpolation of the exact (piecewise-cubic) ``fh * gh`` by its
+      node values, ``h**2 / 4`` times the variation of its derivative, at
+      most ``tv_f tv_g`` (times a margin of 1.01);
+    - the FFT rounding of the node values, `_fast_conv`'s bound per node,
+      times ``h`` for the stencil and ``h`` per segment;
+    - the cross term ``cu_cross(s_f + e_f, nf + e_f, s_g + e_g, ng + e_g)``,
+      ``nf``, ``ng`` the inputs' `norm_l1`: with ``D_f = F - fh``, ``F * G -
+      fh * gh = D_f * gh + fh * D_g + D_f * D_g``, ``||D_f|| <= s_f + e_f`` and
+      ``||fh|| <= ||f|| + e_f <= nf + e_f``.
+
+    The spacing ``h = sqrt(2 tol / denom)`` makes the interpolation term and
+    the resampling's share of the cross term, ``h**2 / 4 (sv_f ng + sv_g
+    nf)``, add up to ``tol / 2``.
+    """
     if not tol > 0.0:
         raise InvalidInput("tol must be positive")
+    nf, ng = norm_l1(f), norm_l1(g)
     if not np.any(f.values) or not np.any(g.values):
-        slack = cu_cross(f.l1_slack, norm_l1(f), g.l1_slack, norm_l1(g))
+        slack = cu_cross(f.l1_slack, nf, g.l1_slack, ng)
         return PLFunction(np.array([0.0, 1.0]), np.zeros(2, dtype=complex), slack)
 
-    tv_f, tv_g = _value_variation(f), _value_variation(g)
-    sv_f, sv_g = _slope_variation(f), _slope_variation(g)
-    nf, ng = norm_l1(f), norm_l1(g)
+    (tv_f, sv_f), (tv_g, sv_g) = _variations(f), _variations(g)
     denom = _up(1.01 * (tv_f * tv_g + sv_f * ng.value + sv_g * (nf.value + 1e-30)))
     h = math.sqrt(2.0 * tol / denom)
     span = (f.span()[1] - f.span()[0]) + (g.span()[1] - g.span()[0])
     if span / h > _NODE_CAP:
         raise ToleranceUnreachable("tolerance unreachable")
 
-    fh = _resample_uniform(f, h, sv_f)
-    gh = _resample_uniform(g, h, sv_g)
-    w, node_err = _fast_conv(fh.values, gh.values)
+    fh, e_f = _resample_uniform(f, h, sv_f)
+    gh, e_g = _resample_uniform(g, h, sv_g)
+    w, node_err = _fast_conv(fh, gh)
     stencil = np.array([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0])
     nodes = h * np.convolve(w, stencil)
     nodes[0] = 0.0
     nodes[-1] = 0.0
     # the stencil convolution prepends one node at base - h (exactly zero
     # there since boundary values vanish)
-    base = fh.breakpoints[0] + gh.breakpoints[0]
+    base = f.span()[0] + g.span()[0]
     bp = (base - h) + h * np.arange(nodes.size)
 
-    # interpolation error of the exact piecewise-cubic convolution
     interp = _up(0.25 * h * h * _up(1.01 * tv_f * tv_g))
     fft_l1 = _up(nodes.size * h * h * node_err)
-    cross = cu_cross(fh.l1_slack, norm_l1(fh), gh.l1_slack, norm_l1(gh))
-    slack = cu_add(cross, cu(_up(interp + fft_l1)))
-    return PLFunction(bp, nodes, slack)
+    sf, sg = cu_add(f.l1_slack, e_f), cu_add(g.l1_slack, e_g)
+    cross = cu_cross(sf, cu_add(nf, e_f), sg, cu_add(ng, e_g))
+    return PLFunction(bp, nodes, cu_add(cross, cu(_up(interp + fft_l1))))
 
 
 # ---------------------------------------------------------------------------

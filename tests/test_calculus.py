@@ -91,9 +91,25 @@ def test_integrate_rejects_panels_above_cap():
 
 
 def test_integrate_unreachable_tolerance():
-    curve = BanachCurve(lambda t: delta(0), lambda d: cu(1.0))  # modulus never decays
+    def never(t):
+        raise AssertionError("a panel was evaluated")
+
+    curve = BanachCurve(never, lambda d: cu(1.0))  # modulus never decays
     with pytest.raises(ToleranceUnreachable):
         calculus.integrate(curve, 0.0, 1.0, tol=1e-3)
+
+
+def test_integrate_meets_tol_with_its_rounding():
+    # at 4 panels the quadrature term alone equals tol, and the rounding
+    # term added after it would take the bound past tol
+    curve = lipschitz_curve(lambda t: delta(0, 1 + t), 1.0)
+    tol = calculus._quad_err(curve.modulus, 1.0, 4).value
+    value, err = calculus.integrate(curve, 0.0, 1.0, tol=tol)
+    assert err.value <= tol
+    assert abs(value.coeffs[0] - 1.5) <= err.value
+    # a fixed panel count that cannot meet tol is refused, not returned
+    with pytest.raises(ToleranceUnreachable):
+        calculus.integrate(curve, 0.0, 1.0, tol=tol, panels=4)
 
 
 def test_banach_exp_scalar_oracle():

@@ -262,11 +262,65 @@ def test_convolve_commutative(rng):
     assert l1r.norm_l1(d).value <= budget + 2e-4
 
 
+def test_convolve_cross_term_with_input_slack():
+    # F = f + bf and G = g + bg, the bumps nonnegative triangles of mass s_f
+    # and s_g: for nonnegative functions ||F * G - f * g|| = s_f ||g|| + s_g
+    # ||f|| + s_f s_g exactly, and the slack of f * g must cover it
+    f, g = triangle(0.0, 1.0, 1.0), triangle(0.5, 0.7, 1.0)  # masses 1 and 0.7
+    h = 1e-3
+    xs = np.arange(-3.0, 3.0, h)
+    ref_xs = xs[0] * 2 + h * np.arange(2 * xs.size - 1)
+    fg = h * np.convolve(l1r.evaluate(f, xs), l1r.evaluate(g, xs))
+    for s_f, s_g in ((0.05, 0.2), (0.2, 0.1), (0.12, 0.05)):
+        bf, bg = triangle(0.3, 0.5, s_f / 0.5), triangle(-0.2, 0.4, s_g / 0.4)
+        F = l1r.evaluate(f, xs) + l1r.evaluate(bf, xs)
+        G = l1r.evaluate(g, xs) + l1r.evaluate(bg, xs)
+        ref = h * np.convolve(F, G)
+        cross = s_f * 0.7 + s_g * 1.0 + s_f * s_g
+        assert abs(float(np.sum(np.abs(ref - fg)) * h) - cross) <= 1e-5 * cross
+        c = l1r.convolve(PLFunction(f.breakpoints, f.values, cu(s_f)),
+                         PLFunction(g.breakpoints, g.values, cu(s_g)), 1e-4)
+        l1_dist = float(np.sum(np.abs(l1r.evaluate(c, ref_xs) - ref)) * h)
+        assert l1_dist <= c.l1_slack.value, (s_f, s_g)
+        # the input norms carry the slack once more: s_f s_g twice, and tol
+        assert c.l1_slack.value <= cross + 2.0 * s_f * s_g + 1e-4, (s_f, s_g)
+
+
+def test_convolve_builds_only_its_result(monkeypatch):
+    normed, built = [], []
+    norm_l1, post_init = l1r.norm_l1, PLFunction.__post_init__
+
+    def counting_norm(x):
+        normed.append(x)
+        return norm_l1(x)
+
+    def counting_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(l1r, "norm_l1", counting_norm)
+    monkeypatch.setattr(PLFunction, "__post_init__", counting_init)
+    f, g = triangle(0.0, 1.0, 1.0), triangle(0.5, 0.7, 1.0)
+    z = PLFunction([0.0, 1.0], [0.0, 0.0], cu(0.1))
+    for a, b in ((f, g), (z, g)):
+        normed.clear()
+        built.clear()
+        c = l1r.convolve(a, b, 1e-4)
+        assert len(normed) == 2 and normed[0] is a and normed[1] is b
+        assert len(built) == 1 and built[0] is c
+
+
 def test_convolve_zero_short_circuit():
     z = l1r.zero_fn()
     c = l1r.convolve(z, triangle(), 1e-6)
     assert not np.any(c.values)
     assert c.l1_slack.value == 0.0
+    # a zero body that carries slack: the product's slack is that slack
+    # times the other input's norm, here 1
+    zs = PLFunction(z.breakpoints, z.values, cu(0.1))
+    c = l1r.convolve(triangle(), zs, 1e-6)
+    assert not np.any(c.values)
+    assert 0.1 <= c.l1_slack.value <= 0.1 * (1.0 + 1e-12)
 
 
 def test_convolve_rejects_bad_tol():
