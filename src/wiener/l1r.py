@@ -5,18 +5,16 @@ an L1 slack: a :class:`PLFunction` stands for every true integrable
 function within ``l1_slack`` of it in the one-norm.  Convolution,
 Fourier evaluation, the Fejer and De la Vallee Poussin kernels, and the
 Tauberian division algorithm all maintain that certified reading.  Fourier
-evaluation is closed-form segment sums or, when the breakpoints are a
-uniform grid ``x_i = x0 + h i`` as given, the frequencies are uniform and
-it costs less, the triangle identity: the function is ``sum_i v_i
-hat_h(x - x_i)``, ``hat_h`` the triangle of half-width ``h`` whose
-transform is ``h sinc(p h / 2)**2``, so its transform is that times one
-chirp-Z sum ``sum_i v_i exp(-i p x_i)``.  That path's error is ``h``
-times the chirp-Z error, ``2 drift_x sum|v|`` and a ``drift_p`` term for
-grids off uniform (the float grid's node rounding included), and the
-rounding term it shares with the closed form (`fourier_eval_many`).  The
-one-norm is the
-exact integral of ``|f|`` on each segment, in closed form, with a derived
-rounding bound.
+evaluation is closed-form segment sums or, when the frequencies are uniform,
+the breakpoints nest and it costs less, chirp-Z sums over hat lattices:
+each node's hat splits exactly into hats of its shorter segment's width
+``w``, which transform to ``w sinc(p w / 2)**2``, so the transform is one
+chirp-Z sum per width (`fourier_eval_many`).  A uniform grid is the
+one-width case.  That path's error is each width's chirp-Z error times
+``w``, the lattice and frequency drifts (the float grids' rounding
+included), the rounding of the split weights, and the rounding term it
+shares with the closed form.  The one-norm is the exact integral of
+``|f|`` on each segment, in closed form, with a derived rounding bound.
 
 Convolution strategy: both inputs are resampled to node values on a
 common uniform grid, the exact node values of the convolution of the
@@ -27,9 +25,10 @@ error ``e_f = h**2 sv_f / 4`` plus the evaluation rounding (``sv_f`` the
 kink mass of ``f``), the interpolation error of the exact
 (piecewise-cubic) convolution, ``h**2 / 4`` times ``1.01 tv_f tv_g`` (the
 total variations; 1.01 is a margin), the FFT rounding of the node values,
-and the cross term ``cu_cross(s_f + e_f, nf + e_f, s_g + e_g, ng + e_g)``
-(``s_f`` the slack, ``nf`` the `norm_l1` of ``f``), which carries the
-inputs' slack and the resampling through the product (`convolve`).
+and the cross term ``cu_cross(s_f + e_f, mf + e_f, s_g + e_g, mg + e_g)``
+(``s_f`` the slack, ``mf`` the certified mass of ``f``'s body, without
+slack), which carries the inputs' slack and the resampling through the
+product (`convolve`).
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ from .errors import (
 )
 
 _NODE_CAP = 2 ** 23
-_UNIFORM_CAP = 1 << 20  # most nodes of a uniform Fejer grid (`fejer_kernel`)
 #: chirp-Z cost per node over the closed form's per pair (`fourier_eval_many`); with
 #: each path forced, the measured break-even was 1.7-5.0, median 3.6 (2 vCPU x86-64)
 _CZT_COST = 4.0
@@ -351,20 +349,22 @@ def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
       most ``tv_f tv_g`` (times a margin of 1.01);
     - the FFT rounding of the node values, `_fast_conv`'s bound per node,
       times ``h`` for the stencil and ``h`` per segment;
-    - the cross term ``cu_cross(s_f + e_f, nf + e_f, s_g + e_g, ng + e_g)``,
-      ``nf``, ``ng`` the inputs' `norm_l1`: with ``D_f = F - fh``, ``F * G -
-      fh * gh = D_f * gh + fh * D_g + D_f * D_g``, ``||D_f|| <= s_f + e_f`` and
-      ``||fh|| <= ||f|| + e_f <= nf + e_f``.
+    - the cross term ``cu_cross(s_f + e_f, mf + e_f, s_g + e_g, mg + e_g)``,
+      ``mf``, ``mg`` the inputs' certified masses without slack: with ``D_f
+      = F - fh``, ``F * G - fh * gh = D_f * gh + fh * D_g + D_f * D_g``,
+      ``||D_f|| <= s_f + e_f`` and ``||fh|| <= ||f|| + e_f <= mf + e_f``, so
+      ``s_f s_g`` is counted once.
 
     The spacing ``h = sqrt(2 tol / denom)`` makes the interpolation term and
     the resampling's share of the cross term, ``h**2 / 4 (sv_f ng + sv_g
-    nf)``, add up to ``tol / 2``.
+    nf)``, add up to at most ``tol / 2``.
     """
     if not tol > 0.0:
         raise InvalidInput("tol must be positive")
-    nf, ng = norm_l1(f), norm_l1(g)
+    mf, mg = _mass_upper(f, _MASS_TERMS), _mass_upper(g, _MASS_TERMS)
+    nf, ng = cu_add(mf, f.l1_slack), cu_add(mg, g.l1_slack)  # `norm_l1`, bit for bit
     if not np.any(f.values) or not np.any(g.values):
-        slack = cu_cross(f.l1_slack, nf, g.l1_slack, ng)
+        slack = cu_cross(f.l1_slack, mf, g.l1_slack, mg)
         return PLFunction(np.array([0.0, 1.0]), np.zeros(2, dtype=complex), slack)
 
     (tv_f, sv_f), (tv_g, sv_g) = _variations(f), _variations(g)
@@ -389,7 +389,7 @@ def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
     interp = _up(0.25 * h * h * _up(1.01 * tv_f * tv_g))
     fft_l1 = _up(nodes.size * h * h * node_err)
     sf, sg = cu_add(f.l1_slack, e_f), cu_add(g.l1_slack, e_g)
-    cross = cu_cross(sf, cu_add(nf, e_f), sg, cu_add(ng, e_g))
+    cross = cu_cross(sf, cu_add(mf, e_f), sg, cu_add(mg, e_g))
     return PLFunction(bp, nodes, cu_add(cross, cu(_up(interp + fft_l1))))
 
 
@@ -431,15 +431,6 @@ def _grid_sums(a: np.ndarray, x0: float, h: float, ps: np.ndarray) -> Tuple[np.n
     return np.exp(-1j * x0 * ps) * sums, err
 
 
-def _uniform_spacing(xs: np.ndarray) -> Tuple[float, float]:
-    """``(h, drift)``: the mean spacing, and the largest distance of a node
-    from the float grid ``xs[0] + h * arange`` (both 0 below two nodes)."""
-    if xs.size < 2:
-        return 0.0, 0.0
-    h = (float(xs[-1]) - float(xs[0])) / (xs.size - 1)
-    return h, float(np.max(np.abs(xs - (float(xs[0]) + h * np.arange(xs.size)))))
-
-
 def _closed_form(f: PLFunction, ps: np.ndarray) -> np.ndarray:
     """The closed-form segment sums, in slices of ``_SLICE_PAIRS`` pairs.
 
@@ -457,52 +448,116 @@ def _closed_form(f: PLFunction, ps: np.ndarray) -> np.ndarray:
     return out
 
 
+def _hat_lattices(f: PLFunction, P: int) -> Tuple[list, float]:
+    """The hats of ``f`` split onto one lattice per width, and their L1 distance from ``f``.
+
+    Segment lengths are taken in units of the shortest, rounded to integers
+    ``m``; node ``i``'s hats have the width ``g`` of its shorter segment, and
+    ``kl``, ``kr`` of them fit its left and right segments (one of the two
+    is 1).  Each width's lattice ``x0 + w t`` runs from the left end of its
+    first hat to its last hat, zero-filled, ``n_w`` nodes.  ``drift`` is the
+    largest distance of a node's three points from the float points ``x0 +
+    w * s`` of its own lattice, so it catches a ratio that is not an integer
+    or a hat off its lattice as well as rounding; ``dist`` is ``2 drift
+    sum|v|`` with the float grid's own rounding, plus the split weights'
+    (`fourier_eval_many`).  Returns ``([], 0.0)`` when ``drift`` is above a
+    relative 1e-9, or when the lattices cost the chirp-Z sums more than the
+    closed form: ``P S <= _CZT_COST sum_w (n_w + P)``.  Segments of more
+    than ``2**32`` units are clipped, so that no count overflows; the drift
+    then rejects them.
+    """
+    bp = f.breakpoints
+    q = np.diff(bp) / np.min(np.diff(bp))
+    m = np.rint(np.minimum(q, 2.0 ** 32)).astype(np.int64)  # segment lengths in units of u
+    N = np.concatenate(([0], np.cumsum(m)))
+    u = (float(bp[-1]) - float(bp[0])) / N[-1]
+    g = np.minimum(m[:-1], m[1:])  # the width of each interior node's hats
+    kl, kr = m[:-1] // g, m[1:] // g
+    widths, first, grp = np.unique(g, return_index=True, return_inverse=True)
+    last = g.size - 1 - np.unique(g[::-1], return_index=True)[1]
+    start, stop = N[:-2][first], N[2:][last] - widths  # per width: first hat's left end, last hat
+    x0, w, size = bp[0] + u * start, u * widths, (stop - start) // widths + 1
+    s = (N[1:-1] - start[grp]) // g  # the lattice index of each node
+    xg, wg = x0[grp], w[grp]  # each node's lattice; its three points against it
+    drift = max(float(np.max(np.abs(bp[j : j + g.size] - (xg + wg * t))))
+                for j, t in enumerate((s - kl, s, s + kr)))
+    if not drift <= 1e-9 * u or P * (bp.size - 1) <= _CZT_COST * np.sum(size + P):
+        return [], 0.0
+    r = kl + kr - 1  # the larger of the two: hats toward the longer segment
+    node = np.repeat(np.arange(g.size), r)
+    k = np.arange(node.size) - np.repeat(np.cumsum(r) - kr, r)
+    coef = f.values[1:-1][node] * ((r[node] - np.abs(k)) / r[node])
+    base = np.cumsum(size) - size
+    lat = np.zeros(size.sum(), dtype=complex)
+    np.add.at(lat, base[grp[node]] + s[node] + k, coef)
+    # with the float grid's own rounding
+    dist = 2.0 * (drift + 2.0 * ULP * max(map(abs, f.span()))) * float(np.sum(np.abs(f.values)))
+    split = 2.0 * ULP * float(np.sum(np.abs(coef[k != 0]) * wg[node[k != 0]]))
+    return list(zip(np.split(lat, base[1:]), x0, w)), dist + split
+
+
 def fourier_eval_many(f: PLFunction, ps) -> Tuple[np.ndarray, CertUpper]:
     """Transform values at many frequencies, plus a shared error bound.
 
     Two paths.  The closed-form segment sums cost about one unit per
     (frequency, segment) pair, ``P S`` in all, and take any input (in slices
     of ``_SLICE_PAIRS`` pairs, so memory does not grow with ``P S``).  The
-    chirp-Z path costs about ``_CZT_COST`` units per node of ``S + P``, and
-    is taken only when the breakpoints as given and the frequencies are both
-    uniform (each to a relative 1e-9) and ``P S > _CZT_COST (S + P)``.  On
-    nodes ``x_i = x0 + h i`` the function is ``sum_i v_i hat_h(x - x_i)``,
-    ``hat_h`` the triangle of half-width ``h`` and height 1, whose transform
-    is ``h sinc(p h / 2)**2``; so the transform is ``h sinc(p h / 2)**2
-    E_v(p)``, ``E_v(p) = sum_i v_i exp(-1j p x_i)``, one chirp-Z sum
-    (`_grid_sums`).  Breakpoints that are not uniform take the closed form
-    as given, at any size: on large inputs that is slower than chirp-Z on a
-    resampling would be, but the bound carries no resampling error (the
-    README gives the measured trade).
+    chirp-Z path costs about ``_CZT_COST`` units per node of ``n_w + P`` for
+    each width ``w`` of `_hat_lattices`, and is taken when the frequencies
+    are uniform (to a relative 1e-9), the breakpoints nest and ``P S >
+    _CZT_COST sum_w (n_w + P)``.
+
+    The function is ``sum_i v_i phi_i``, ``phi_i`` the hat of height 1 on
+    node ``i``'s two segments.  A node whose segments are ``w`` and ``r w``,
+    ``r`` an integer, has ``phi_i = sum_k (1 - k / r) hat_w(x - x_i - k w)``
+    over ``0 <= k < r``, ``k w`` taken toward the longer segment: both sides
+    are linear between the points ``x_i + k w``, where they agree.  This is
+    the exact refinement relation; on a uniform grid every node is one hat
+    of weight 1.  The hats of one width lie on one lattice ``x0 + w t`` and
+    ``hat_w`` transforms to ``w sinc(p w / 2)**2``, so the transform is
+    ``sum_w w sinc(p w / 2)**2 E_w(p)``, ``E_w(p) = sum_t a_t exp(-1j p (x0
+    + w t))``, one zero-filled chirp-Z sum per width (`_grid_sums`).
 
     The bound is the slack plus the rounding of the formula evaluated: per
     segment ``L (|v| + |dv|)`` (``weight`` in all) times 16 ulps for the
     moments (or ``sinc**2``), 8 for products, phases and lengths, ``4 |p|
     max|x|`` for the phase arguments and ``S`` for the sum, doubled for the
-    bound's own rounding.  The chirp-Z path adds ``h`` times the chirp-Z
-    error and the grids' drift.  A node within ``drift_x`` of ``x0 + h i``
-    moves each edge of its hat by at most that, ``2 drift_x sum|v|`` in L1;
-    a frequency within ``drift_p`` of the ``q_j`` of `_grid_sums` moves the
-    phase of node ``i`` by ``h i drift_p``, ``weight span drift_p`` in all.
-    Each drift is the one `_uniform_spacing` measures from the float grid
-    ``x0 + h * arange`` plus that grid's own rounding, ``u |h i| + u |x_i|
-    <= 3 u max|x|``: with the measurement's rounding, below ``2 ULP
-    max|x|``.
+    bound's own rounding.  The split hats of node ``i`` weigh ``w sum_k (1 -
+    k / r) = (a_i + b_i) / 2`` for its segments ``a_i``, ``b_i``, and ``sum_i
+    |v_i| (a_i + b_i) / 2 <= weight``: the chirp-Z path's roundings are
+    those of one width, with at most ``S`` widths in the sum.  It adds:
+
+    - per width, ``w`` times `_czt`'s error;
+    - per width, the frequency drift: a frequency within ``drift_p`` of the
+      ``q_j`` of `_grid_sums` moves the phase of lattice node ``t`` by ``w t
+      drift_p <= w n_w drift_p``, so at most ``weight w n_w drift_p``.  The
+      drift is measured from the float grid ``ps[0] + dp * arange`` and
+      takes that grid's own rounding, ``2 ULP max|p|``;
+    - the lattice drift: a node within ``drift_x`` of its exact lattice
+      point moves each edge of its hat by at most that, ``2 drift_x
+      sum|v|`` in L1.  `_hat_lattices` measures it from the float lattice
+      ``x0 + w * s``, to which that grid's own rounding adds ``u |w s| + u
+      |x| <= 3 u max|x|``: with the measurement's rounding, below ``2 ULP
+      max|x|``;
+    - the split weights: ``(r - k) / r`` rounds once and its product with
+      ``v`` once per part, so a coefficient is off by at most ``ULP (1 +
+      u)`` of its modulus, ``ULP |a_t| w`` in L1 to first order, doubled for
+      the sum.  Weights of 1 are exact.
     """
     ps = np.asarray(ps, dtype=float)
     S = f.breakpoints.size - 1
     pmax = float(np.max(np.abs(ps), initial=0.0))
-    extra = phase_drift = 0.0
-    dp, drift_p = _uniform_spacing(ps)
-    h, drift_x = _uniform_spacing(f.breakpoints)
-    if (ps.size * S > _CZT_COST * (S + ps.size) and drift_p <= 1e-9 * abs(dp)
-            and drift_x <= 1e-9 * h):
-        ev, ev_err = _grid_sums(f.values[:-1], float(f.breakpoints[0]), h, ps)
-        out = h * np.sinc(ps * h / (2.0 * math.pi)) ** 2 * ev
-        drift_x += 2.0 * ULP * max(map(abs, f.span()))  # the float grid's own rounding
-        extra = h * ev_err + 2.0 * drift_x * float(np.sum(np.abs(f.values)))
-        phase_drift = (drift_p + 2.0 * ULP * pmax) * S * h
-    else:
+    out, phase_drift, lattices, extra = 0.0, 0.0, [], 0.0
+    if ps.size * S > _CZT_COST * (S + ps.size):  # and so ps.size >= 5
+        dp = (float(ps[-1]) - float(ps[0])) / (ps.size - 1)
+        drift_p = float(np.max(np.abs(ps - (float(ps[0]) + dp * np.arange(ps.size)))))
+        lattices, extra = _hat_lattices(f, ps.size) if drift_p <= 1e-9 * abs(dp) else ([], 0.0)
+    for a, x0, w in lattices:
+        ev, ev_err = _grid_sums(a, x0, w, ps)
+        out = out + w * np.sinc(ps * w / (2.0 * math.pi)) ** 2 * ev
+        extra += w * ev_err
+        phase_drift += (drift_p + 2.0 * ULP * pmax) * a.size * w
+    if not lattices:
         out = _closed_form(f, ps)
     bp, vals = f.breakpoints, f.values
     weight = float(np.sum(np.diff(bp) * (np.abs(vals[:-1]) + np.abs(np.diff(vals)))))
@@ -599,22 +654,16 @@ def _fejer_rounding(lam: float, bp: np.ndarray, v: np.ndarray) -> CertUpper:
 
 
 def _fejer_curvature(lam: float, x_lo: np.ndarray) -> np.ndarray:
-    """Upper bound on |second derivative| of the scaled kernel past |x| >= x_lo."""
-    y = lam * x_lo
-    near = np.abs(y) < 1.0
-    ys = np.where(near, 1.0, np.abs(y))
+    """Upper bound on |second derivative| of the scaled kernel past |x| >= x_lo.
+
+    ``K = (1 / 2 pi) int (1 - |p| / lam) exp(i p x) dp`` over ``|p| <= lam``,
+    so ``|K''| <= lam**3 / (12 pi) < 0.05 lam**3`` everywhere; past ``y = lam
+    x >= 1`` the bound ``lam**3 (1/y**2 + 4/y**3 + 12/y**4) / pi`` is smaller
+    from ``y = 4.1`` on.  Both are nonincreasing in ``|x|``.
+    """
+    ys = np.maximum(np.abs(lam * x_lo), 1.0)
     far = (1.0 / ys ** 2 + 4.0 / ys ** 3 + 12.0 / ys ** 4) / math.pi
-    return lam ** 3 * np.where(near, 0.05, far)
-
-
-def _fejer_nodes(lam: float, pos) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grid mirrored from the node positions ``pos`` on ``[0, X]``, its
-    values and its per-segment interpolation bounds."""
-    pos = np.asarray(pos, dtype=float)
-    bp = np.concatenate([-pos[::-1][:-1], pos])
-    h_seg = np.diff(bp)
-    x_lo = np.minimum(np.abs(bp[:-1]), np.abs(bp[1:]))
-    return bp, _fejer_values(lam, bp), 0.25 * h_seg ** 3 * _fejer_curvature(lam, x_lo)
+    return lam ** 3 * np.minimum(0.05, far)
 
 
 def fejer_kernel(lam: float, support_tol: float) -> PLFunction:
@@ -630,55 +679,49 @@ def fejer_kernel(lam: float, support_tol: float) -> PLFunction:
     values are set to zero, which costs the edge term, and the node values'
     rounding is `_fejer_rounding`.
 
-    Both grids are mirrored from ``[0, X]``, so they are exactly symmetric
-    and the edge term ``|v_0| h_0`` covers both ends.  They are chosen by
-    node count alone.  The uniform grid, ``linspace(0, X, n + 1)`` mirrored
-    to ``2 n + 1`` nodes, is taken when ``2 n + 1 <= _UNIFORM_CAP``: the
-    transform's chirp-Z path then runs on it as it is.  Its spacing is
-    closed-form.  With ``Y = lam X`` and ``t = h lam``, one side's sum of
-    ``t c`` at the segments' inner ends is at most ``J_u + 17 t / pi``,
-    where ``J_u = 0.05 + (7 - 1/Y - 2/Y**2 - 4/Y**3) / pi`` is the integral
-    of ``c`` over ``[0, Y]`` and ``17 / pi`` its largest value: an upper
-    Riemann sum of the decreasing part, and ``c >= 0.05`` next to 1 (for ``t
-    <= 1``, every ``support_tol <= 1``).  So ``disc <= t**2 (J_u / 2 + 17 t
-    / (2 pi))``.  With ``t0 = sqrt(2 support_tol / J_u)``, ``t =
-    sqrt(support_tol / (J_u / 2 + 17 t0 / (2 pi)))`` is at most ``t0``, so
-    ``disc <= support_tol``; ``n = ceil(Y / t)`` makes the spacing at most
-    ``t / lam``.  A uniform grid's node count grows like
-    ``support_tol**-1.5``, so small tolerances take the geometric grid,
-    whose step is ``theta max(|x|, 1 / lam)`` with ``theta = sqrt(2
-    support_tol / J)``, ``J`` the integral of ``max(y, 1)**2 c(y)`` over
-    ``[0, Y]``: the Riemann-sum estimate of ``disc = support_tol``.  That
-    grid depends on ``lam`` only through ``Y``, and its ``disc`` is
-    0.995-1.009 of ``support_tol`` for tolerances from 1e-6 to 0.1; the
-    slack takes the float sum over the actual grid, so no bound rests on
-    the estimate.
+    The grid is mirrored from ``[0, X]``, so it is exactly symmetric and the
+    edge term ``|v_0| h_0`` covers both ends.  It has one rule.  The bands
+    are ``[0, 2**e]``, ``2**e <= 4 / lam < 2**(e + 1)``, and then ``[2**j,
+    2**(j + 1)]``, the last cut at ``X``; band ``j`` of length ``L_j`` has
+    one step ``h_j``, a power of two.  With ``c_j`` the curvature bound at
+    the band's inner end (it is nonincreasing in ``|x|``), the band's
+    segments contribute at most ``h_j**2 L_j c_j / 4`` to one side's
+    ``disc``.  Splitting the budget as ``b_j`` proportional to ``L_j
+    c_j**(1/3)``, with ``sum b_j = support_tol``, minimises the node count
+    ``sum L_j / h_j`` for ``h_j**2 L_j c_j / 4 = b_j``, which gives ``h_j <=
+    2 sqrt(support_tol / sum_k L_k c_k**(1/3)) / c_j**(1/3)``; ``h_j`` is the
+    largest power of two below that.  Both sides together then give ``disc``
+    of about ``2 support_tol`` at most (the last band is rounded up by under
+    one step), and in practice 0.45-0.65 of ``support_tol``, since a power of
+    two loses up to half the step.  Every node ``2**j + k h_j`` is a
+    multiple of its band's step (``h_j <= 2**j`` for ``support_tol`` below
+    about 1), so it is an exact double, and ``X`` is rounded up to a
+    multiple of the last step, which only lowers the tail.  The steps of
+    neighbouring bands are powers of two, so the grid nests and the
+    transform takes chirp-Z per step (`fourier_eval_many`).  The slack takes
+    the float sum over the actual grid, so no bound rests on the budget
+    split.
 
-    The slack is about ``2 * support_tol`` on either grid, independent of
-    ``lam``: ``support_tol = 1e-3`` gives ``l1_slack`` 0.0020.
+    The slack is about ``1.5 support_tol`` at small tolerances, independent
+    of ``lam``: ``support_tol = 1e-3`` gives ``l1_slack`` 0.0016.
     """
     if not (lam > 0.0 and support_tol > 0.0):
         raise InvalidInput("lam and support_tol must be positive")
-    X = 4.0 / (math.pi * lam * support_tol)
-    X = max(X, 4.0 / lam)
+    X = max(4.0 / (math.pi * lam * support_tol), 4.0 / lam)
+    # bands [0, 2**e] with 2**e <= 4 / lam, then [2**j, 2**(j + 1)], cut at X
+    edges = np.ldexp(1.0, np.arange(math.frexp(4.0 / lam)[1] - 2, math.frexp(X)[1] + 1))
+    edges = np.minimum(edges, X)
+    edges[0] = 0.0
+    L, c3 = np.diff(edges), np.cbrt(_fejer_curvature(lam, edges[:-1]))
+    t = 2.0 * math.sqrt(support_tol / float(np.sum(L * c3))) / c3
+    h = np.ldexp(1.0, np.frexp(t)[1] - 1)
+    k = np.ceil(L / h).astype(int)
+    X = edges[-2] + k[-1] * h[-1]
     tail = _up(4.0 / (math.pi * lam * X))
-
-    budget = support_tol
-    Y = lam * X
-    J_u = 0.05 + (7.0 - 1.0 / Y - 2.0 / Y ** 2 - 4.0 / Y ** 3) / math.pi
-    t0 = math.sqrt(2.0 * budget / J_u)
-    t = math.sqrt(budget / (0.5 * J_u + 8.5 / math.pi * t0))
-    n = math.ceil(min(Y / t, _UNIFORM_CAP))
-    if 2 * n + 1 <= _UNIFORM_CAP:
-        bp, vals, disc_terms = _fejer_nodes(lam, np.linspace(0.0, X, n + 1))
-    else:
-        J = 0.05 + (Y - 1.0 + 4.0 * math.log(Y) + 12.0 * (1.0 - 1.0 / Y)) / math.pi
-        theta = math.sqrt(2.0 * budget / J)
-        pos, x = [0.0], 0.0
-        while x < X:
-            x = x + theta * max(x, 1.0 / lam)
-            pos.append(min(x, X))
-        bp, vals, disc_terms = _fejer_nodes(lam, pos)
+    pos = np.concatenate([a + s * np.arange(j) for a, s, j in zip(edges, h, k)] + [[X]])
+    bp = np.concatenate([-pos[::-1][:-1], pos])
+    vals, x_in = _fejer_values(lam, bp), np.minimum(np.abs(bp[:-1]), np.abs(bp[1:]))
+    disc_terms = 0.25 * np.diff(bp) ** 3 * _fejer_curvature(lam, x_in)
     rounding = _fejer_rounding(lam, bp, vals)
     edge = _up(float(vals[0]) * float(bp[1] - bp[0]))
     vals = vals.astype(complex)

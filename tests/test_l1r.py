@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -282,23 +283,23 @@ def test_convolve_cross_term_with_input_slack():
                          PLFunction(g.breakpoints, g.values, cu(s_g)), 1e-4)
         l1_dist = float(np.sum(np.abs(l1r.evaluate(c, ref_xs) - ref)) * h)
         assert l1_dist <= c.l1_slack.value, (s_f, s_g)
-        # the input norms carry the slack once more: s_f s_g twice, and tol
-        assert c.l1_slack.value <= cross + 2.0 * s_f * s_g + 1e-4, (s_f, s_g)
+        # s_f s_g counted once: the cross term plus the resampling and tol
+        assert c.l1_slack.value <= cross + 1e-4, (s_f, s_g)
 
 
 def test_convolve_builds_only_its_result(monkeypatch):
     normed, built = [], []
-    norm_l1, post_init = l1r.norm_l1, PLFunction.__post_init__
+    mass_upper, post_init = l1r._mass_upper, PLFunction.__post_init__
 
-    def counting_norm(x):
+    def counting_mass(x, *args):
         normed.append(x)
-        return norm_l1(x)
+        return mass_upper(x, *args)
 
     def counting_init(self):
         built.append(self)
         post_init(self)
 
-    monkeypatch.setattr(l1r, "norm_l1", counting_norm)
+    monkeypatch.setattr(l1r, "_mass_upper", counting_mass)
     monkeypatch.setattr(PLFunction, "__post_init__", counting_init)
     f, g = triangle(0.0, 1.0, 1.0), triangle(0.5, 0.7, 1.0)
     z = PLFunction([0.0, 1.0], [0.0, 0.0], cu(0.1))
@@ -385,10 +386,17 @@ def test_fourier_fast_path_matches_generic(monkeypatch):
     far = PLFunction(far_bp, far_vals)
     grid_sums, chirps = l1r._grid_sums, []
     monkeypatch.setattr(l1r, "_grid_sums", lambda *args: chirps.append(1) or grid_sums(*args))
-    for f, ps in ((smooth, np.linspace(-2.0, 2.0, 3000)), (far, np.linspace(-2.0, 2.0, 3000))):
+    # a uniform grid is the one-width case of the nested lattices, bit for bit
+    # the values and bound of the former uniform-only path
+    pinned = ("fe2e66430424ead40b6a2b34ba8e4d0ba7fc2d7eee363654dba4d04d549d0977",
+              "878824aef7e5ddf0a3c83f3cd42a81dec78d3e62dc1b8d705a2b935f64bd070b")
+    for f, digest in zip((smooth, far), pinned):
+        ps = np.linspace(-2.0, 2.0, 3000)
         chirps.clear()
         fast, err_fast = l1r.fourier_eval_many(f, ps)
-        assert chirps  # the cost rule took chirp-Z
+        assert len(chirps) == 1  # the cost rule took chirp-Z, one width
+        got = hashlib.sha256(fast.tobytes() + np.float64(err_fast.value).tobytes()).hexdigest()
+        assert got == digest
         with monkeypatch.context() as m:
             m.setattr(l1r, "_CZT_COST", math.inf)  # the closed form, at any size
             slow, err_slow = l1r.fourier_eval_many(f, ps)
@@ -419,6 +427,36 @@ def test_fourier_fast_path_matches_generic(monkeypatch):
     for j in (0, 150, 299):
         v, err = l1r.fourier_eval(smooth, float(qs[j]))
         assert abs(vals[j] - v) <= err.value
+
+
+def test_fourier_nested_lattices_match_closed_form(monkeypatch):
+    # kernels take chirp-Z on their nested lattices, junctions included: with
+    # the closed form switched off, criterion 08's Fejer kernel at 8,151
+    # frequencies (under 1 s), a De la Vallee Poussin union of two grids, a
+    # coarse one and its translate, whose breakpoints round off the lattice
+    closed_form = l1r._closed_form
+
+    def refuse(f, ps):
+        raise AssertionError("closed form")
+
+    coarse = l1r.dlvp_kernel(1.0, 0.3)
+    cases = [(l1r.fejer_kernel(1.0, 1e-4), np.linspace(-1.0, 1.0, 8151)),
+             (l1r.dlvp_kernel(1.0, 1e-3), np.linspace(-2.0, 2.0, 257)),
+             (coarse, np.linspace(-2.5, 2.5, 64)),
+             (l1r.translate(coarse, 0.3), np.linspace(-2.5, 2.5, 64))]
+    for f, ps in cases:
+        with monkeypatch.context() as m:
+            m.setattr(l1r, "_closed_form", refuse)
+            t0 = time.perf_counter()
+            vals, err = l1r.fourier_eval_many(f, ps)
+            assert time.perf_counter() - t0 < 1.0
+        # both approximate the transform of the same piecewise-linear body
+        sub = slice(None, None, max(1, ps.size // 32))
+        assert np.max(np.abs(vals[sub] - closed_form(f, ps[sub]))) <= err.value - f.l1_slack.value
+    # the translate's segments are no longer exact multiples of each other
+    assert not np.array_equal(np.diff(f.breakpoints), np.diff(coarse.breakpoints))
+    for j in (0, 20, 41):
+        assert abs(mpc(vals[j]) - mp_fourier(f, ps[j])) <= err.value - f.l1_slack.value
 
 
 def test_fourier_rough_input_is_not_resampled_to_the_cap():
@@ -525,23 +563,33 @@ def test_fejer_kernel_mass_and_positivity():
 
 
 def test_fejer_kernel_grid_rule():
-    # uniform below _UNIFORM_CAP nodes: the line_divide kernel and its
-    # smoothing kernel, criterion 09's and criterion 10's top rung, each at a
-    # slack no larger than the geometric grid gives at that shape
+    # one rule: a power-of-two step per dyadic band, every node a multiple of
+    # its segments' steps (so exact), mirrored; at the line_divide kernel and
+    # its smoothing kernel, criterion 09's, criterion 10's top rung and
+    # criterion 08's, each at a slack no larger than the former geometric grid's
     for lam, tol, geometric_slack in ((1.05, 4e-3, 0.008002597204827839),
                                       (1.0, 2e-3, 0.003998672161919863),
                                       (0.5, 2e-3, 0.003998672161919863),
-                                      (64.0, 1e-3, 0.0020003525029991804)):
+                                      (64.0, 1e-3, 0.0020003525029991804),
+                                      (1.0, 1e-4, 0.00019999779878195496)):
         k = l1r.fejer_kernel(lam, tol)
-        h, drift = l1r._uniform_spacing(k.breakpoints)
-        assert drift <= 1e-9 * h
+        bp, steps = k.breakpoints, np.diff(k.breakpoints)
+        assert np.all(np.frexp(steps)[0] == 0.5)
+        assert np.all(bp[:-1] % steps == 0.0) and np.all(bp[1:] % steps == 0.0)
+        assert np.array_equal(bp, -bp[::-1])
+        right = bp[:-1] > 0.0  # one step on each [2**j, 2**(j + 1)]
+        band = np.frexp(bp[:-1][right])[1]
+        assert all(np.unique(steps[right][band == j]).size == 1 for j in set(band))
         assert k.l1_slack.value <= geometric_slack
-    # criterion 08's kernel would need 2.7M uniform nodes, so it keeps the
-    # geometric grid, whose breakpoints the digest pins
-    k = l1r.fejer_kernel(1.0, 1e-4)
-    assert k.breakpoints.size == 94293
+        # the union of two such grids nests: at each node the longer segment is
+        # a multiple of the shorter, and the transform's lattices hold it
+        v = l1r.dlvp_kernel(lam, tol)
+        a, b = np.diff(v.breakpoints)[:-1], np.diff(v.breakpoints)[1:]
+        assert np.all(np.maximum(a, b) % np.minimum(a, b) == 0.0)
+        assert l1r._hat_lattices(v, 1 << 20)[0]
+    assert k.breakpoints.size == 72571
     digest = hashlib.sha256(k.breakpoints.tobytes()).hexdigest()
-    assert digest == "cbdb92789800b705deea0979ae7e6af3a9792e736a7aa59820d84ad7282575ed"
+    assert digest == "d99b20e9767752d68def7db0330d12ff7d8ad58bbca5b568eefcc015ea12a174"
 
 
 _GAUSS_LEGENDRE = mpmath.calculus.quadrature.GaussLegendre(mpmath.mp).calc_nodes(3, 128)
@@ -563,15 +611,26 @@ def mp_fejer_distance(k: PLFunction, lam: float) -> mpmath.mpf:
     return total + 1 - 2 / mpmath.pi * (mpmath.si(Y) - (1 - mpmath.cos(Y)) / Y)
 
 
-def test_fejer_slack_against_128bit_distance(monkeypatch):
-    # a coarse kernel on each grid: the slack covers the exact distance from K_lam
-    uniform = l1r.fejer_kernel(1.0, 0.05)
-    monkeypatch.setattr(l1r, "_UNIFORM_CAP", 0)
-    geometric = l1r.fejer_kernel(1.0, 0.05)
-    h, drift = l1r._uniform_spacing(uniform.breakpoints)
-    assert drift <= 1e-9 * h and uniform.breakpoints.size > 2 * geometric.breakpoints.size
-    for k in (uniform, geometric):
-        assert mp_fejer_distance(k, 1.0) <= k.l1_slack.value
+def test_fejer_slack_against_128bit_distance():
+    # coarse kernels of two shapes, two and four steps: the slack covers the
+    # exact distance from K_lam
+    for lam, tol in ((1.0, 0.05), (2.5, 0.02)):
+        k = l1r.fejer_kernel(lam, tol)
+        assert np.unique(np.diff(k.breakpoints)).size >= 2
+        assert mp_fejer_distance(k, lam) <= k.l1_slack.value
+
+
+def test_fejer_curvature_against_128bit_second_derivative():
+    # |K''| <= lam**3 / (12 pi) everywhere and the far bound past y = 1, so
+    # their minimum; it is nonincreasing, so bounding |K''| at each point
+    # bounds it past each point
+    for lam in (1.0, 2.5):
+        xs = np.linspace(0.0, 60.0, 241) / lam
+        bound = l1r._fejer_curvature(lam, xs)
+        assert np.all(np.diff(bound) <= 0.0) and bound[0] == 0.05 * lam ** 3
+        d2 = [abs(mpmath.diff(lambda t: mp_fejer(lam, t), mpmath.mpf(x), 2)) for x in xs]
+        assert all(d <= b for d, b in zip(d2, bound))
+        assert max(d / b for d, b in zip(d2, bound)) > 0.5  # not vacuous
 
 
 def test_fejer_rounding_against_128bit_values():
