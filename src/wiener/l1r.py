@@ -368,6 +368,7 @@ def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
         return PLFunction(np.array([0.0, 1.0]), np.zeros(2, dtype=complex), slack)
 
     (tv_f, sv_f), (tv_g, sv_g) = _variations(f), _variations(g)
+    # the 1e-30 keeps denom above 0 where tv_f * tv_g underflows (values below about 1e-162)
     denom = _up(1.01 * (tv_f * tv_g + sv_f * ng.value + sv_g * (nf.value + 1e-30)))
     h = math.sqrt(2.0 * tol / denom)
     span = (f.span()[1] - f.span()[0]) + (g.span()[1] - g.span()[0])
@@ -397,38 +398,34 @@ def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
 # Fourier transform evaluation
 
 
-def _czt(a: np.ndarray, k: int, theta: float) -> Tuple[np.ndarray, float]:
-    """Chirp-Z sums ``A_j = sum_i a_i exp(-1j theta i j)``, ``j < k``, via Bluestein.
-
-    With one chirp ``w_j = exp(0.5j theta j**2)``, ``j < max(n, k)``, and
-    ``i j = (i**2 + j**2 - (j - i)**2) / 2``, ``A_j = conj(w_j) sum_i a_i
-    conj(w_i) w_(j - i)`` (``w_(-j) = w_j``): the convolution of the chirped
-    ``a`` with ``w_(1 - n) ... w_(k - 1)``, read at outputs ``n - 1 ... n + k -
-    2``.  The linear convolution has ``2 n + k - 2`` outputs, so in a cyclic
-    one of length ``L >= n + k - 1`` the outputs read take no wrapped term
-    (``j + L`` is past the last, ``j - L`` below 0), and `_fast_conv` runs it
-    cyclic, about half the linear FFT length.  The error is `_fast_conv`'s
-    bound plus the chirp phases (arguments off by an ulp of ``theta (n +
-    k)**2``, and the exponentials and products).
-    """
-    n = a.size
-    w = np.exp(0.5j * theta * np.arange(max(n, k), dtype=float) ** 2)
-    core, err = _fast_conv(a * w[:n].conj(), np.concatenate((w[n - 1 : 0 : -1], w[:k])), True)
-    err += ULP * (abs(theta) * (n + k) ** 2 + 8.0) * float(np.sum(np.abs(a)))
-    return w[:k].conj() * core[n - 1 : n + k - 1], _up(err)
-
-
 def _grid_sums(a: np.ndarray, x0: float, h: float, ps: np.ndarray) -> Tuple[np.ndarray, float]:
-    """``sum_i a_i exp(-1j (x0 + h i) p_j)`` by one chirp-Z sum, and `_czt`'s error bound.
+    """``sum_i a_i exp(-1j (x0 + h i) p_j)`` by one chirp-Z sum (Bluestein), and its error bound.
 
     The sum runs at ``q_j = ps[0] + dp j``, ``dp`` the mean spacing of
     ``ps``; the phases ``exp(-1j ps[0] h i)`` before it and ``exp(-1j x0
     p_j)`` after it take the given ``ps``.  Their rounding, and the distance
     of ``ps`` from the ``q_j``, are the caller's to bound.
+
+    With ``b_i`` the pre-phased ``a_i``, ``theta = dp h``, one chirp ``w_j =
+    exp(0.5j theta j**2)``, ``j < max(n, k)``, and ``i j = (i**2 + j**2 - (j
+    - i)**2) / 2``, the sum ``B_j = sum_i b_i exp(-1j theta i j)`` is
+    ``conj(w_j) sum_i b_i conj(w_i) w_(j - i)`` (``w_(-j) = w_j``): the
+    convolution of the chirped ``b`` with ``w_(1 - n) ... w_(k - 1)``, read
+    at outputs ``n - 1 ... n + k - 2``.  The linear convolution has ``2 n +
+    k - 2`` outputs, so in a cyclic one of length ``L >= n + k - 1`` the
+    outputs read take no wrapped term (``j + L`` is past the last, ``j - L``
+    below 0), and `_fast_conv` runs it cyclic, about half the linear FFT
+    length.  The error is `_fast_conv`'s bound plus the chirp phases
+    (arguments off by an ulp of ``theta (n + k)**2``, and the exponentials
+    and products).
     """
-    dp = (float(ps[-1]) - float(ps[0])) / max(ps.size - 1, 1)
-    sums, err = _czt(a * np.exp(-1j * ps[0] * h * np.arange(a.size)), ps.size, dp * h)
-    return np.exp(-1j * x0 * ps) * sums, err
+    n, k = a.size, ps.size
+    theta = (float(ps[-1]) - float(ps[0])) / max(k - 1, 1) * h
+    b = a * np.exp(-1j * ps[0] * h * np.arange(n))
+    w = np.exp(0.5j * theta * np.arange(max(n, k), dtype=float) ** 2)
+    core, err = _fast_conv(b * w[:n].conj(), np.concatenate((w[n - 1 : 0 : -1], w[:k])), True)
+    err += ULP * (abs(theta) * (n + k) ** 2 + 8.0) * float(np.sum(np.abs(b)))
+    return np.exp(-1j * x0 * ps) * (w[:k].conj() * core[n - 1 : n + k - 1]), _up(err)
 
 
 def _closed_form(f: PLFunction, ps: np.ndarray) -> np.ndarray:
@@ -527,7 +524,7 @@ def fourier_eval_many(f: PLFunction, ps) -> Tuple[np.ndarray, CertUpper]:
     |v_i| (a_i + b_i) / 2 <= weight``: the chirp-Z path's roundings are
     those of one width, with at most ``S`` widths in the sum.  It adds:
 
-    - per width, ``w`` times `_czt`'s error;
+    - per width, ``w`` times `_grid_sums`'s error;
     - per width, the frequency drift: a frequency within ``drift_p`` of the
       ``q_j`` of `_grid_sums` moves the phase of lattice node ``t`` by ``w t
       drift_p <= w n_w drift_p``, so at most ``weight w n_w drift_p``.  The
@@ -799,9 +796,6 @@ def tauberian_divide(
     if not (band > 0.0 and eps > 0.0 and tol > 0.0):
         raise InvalidInput("band, eps and tol must be positive")
     certify_transform_lower(f, band, eps)
-
-    if not np.any(g.values) and g.l1_slack.value == 0.0:
-        return zero_fn(), CU_ZERO
 
     sf0, sf1 = f.span()
     sg0, sg1 = g.span()

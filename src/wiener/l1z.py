@@ -113,12 +113,14 @@ def _merge(pieces: Sequence[Block], w: complex | None = None) -> Tuple[Block, ..
 
     Every element's blocks are built here, and this is the one finiteness
     check of their arrays.  All values are multiplied by ``w`` (``None``:
-    by nothing) in one `_cmul`, then added in the given order into a
-    zeroed buffer, one span per cluster of pieces within ``_GAP`` of each
-    other.  When no two pieces share a cluster nothing is summed: the
-    pieces are laid out in offset order, whatever order they come in, so
-    their signed zeros stay.  Blocks end at cluster boundaries as well as
-    at runs of more than ``_GAP`` zeros.
+    by nothing) in one `_cmul`.  A lone piece is its own buffer, and is its
+    own block when it holds no zero.  Several pieces go into one zeroed
+    buffer: the clusters of pieces within ``_GAP`` of each other, in
+    offset order, each followed by ``_GAP + 1`` zeros.  When no two pieces
+    share a cluster nothing is summed: each piece is copied to its place,
+    whatever order the pieces come in, so their signed zeros stay.  Else
+    the pieces are added in the given order.  One scan then cuts blocks
+    at runs of more than ``_GAP`` zeros, which also cuts between clusters.
     """
     if not pieces:
         return ()
@@ -126,45 +128,36 @@ def _merge(pieces: Sequence[Block], w: complex | None = None) -> Tuple[Block, ..
     if w is not None:
         values = _cmul(w, values)
     if len(pieces) == 1:
-        starts, pos, buf = [pieces[0][0]], [0, values.size], values
-    else:
-        order = sorted(range(len(pieces)), key=lambda i: pieces[i][0])
-        starts, ends, member = [], [], [0] * len(pieces)
-        for i in order:
+        starts, pos, buf = [pieces[0][0]], [0], values
+    else:  # starts, pos: each cluster's first index and its place in buf
+        starts, pos, place, end = [], [], [0] * len(pieces), 0
+        for i in sorted(range(len(pieces)), key=lambda i: pieces[i][0]):
             o, x = pieces[i]
-            if not starts or o - ends[-1] > _GAP:
+            if not starts or o - end > _GAP:  # a new cluster, _GAP + 1 zeros past the last
+                pos.append(pos[-1] + end - starts[-1] + _GAP + 1 if starts else 0)
                 starts.append(o)
-                ends.append(o + x.size)
-            else:
-                ends[-1] = max(ends[-1], o + x.size)
-            member[i] = len(starts) - 1
-        pos = list(accumulate((e - s for s, e in zip(starts, ends)), initial=0))
-        at = list(accumulate((x.size for _, x in pieces), initial=0))  # places in values
-        if len(starts) < len(pieces):  # shift: a piece's place in buf less its place in values
-            shift = [pos[c] + o - starts[c] - k for (o, _), c, k in zip(pieces, member, at)]
-            buf = np.zeros(pos[-1], dtype=complex)
-            # unbuffered: a value added twice or more is summed in the order of the pieces
-            np.add.at(buf, np.arange(values.size) + np.repeat(shift, np.diff(at)), values)
-        else:  # nothing is summed: the pieces are laid out in offset order
-            buf = np.concatenate([values[at[i] : at[i + 1]] for i in order])
+                end = o
+            end = max(end, o + x.size)
+            place[i] = pos[-1] + o - starts[-1]
+        buf = np.zeros(pos[-1] + end - starts[-1], dtype=complex)
+        sizes = [x.size for _, x in pieces]  # shifts: place in buf less place in values
+        at = np.repeat(np.subtract(place, list(accumulate(sizes[:-1], initial=0))), sizes)
+        at += np.arange(values.size)
+        if len(starts) < len(pieces):  # unbuffered: summed in the order of the pieces
+            np.add.at(buf, at, values)
+        else:
+            buf[at] = values
     if np.count_nonzero(np.isfinite(buf)) != buf.size:
         raise InvalidInput("NaN coefficient" if np.isnan(buf).any() else "non-finite coefficient")
-    if 0 < np.count_nonzero(buf) == buf.size:  # no zero: each cluster is a block
-        first, last = pos[:-1], pos[1:]
-        if len(first) == 1:
-            buf.setflags(write=False)
-            return ((starts[0], buf),)
-    else:
-        nz = (buf != 0).nonzero()[0]
-        if nz.size == 0:
-            return ()
-        far = nz[1:] - nz[:-1] > _GAP + 1
-        if len(pos) > 2:
-            at = np.searchsorted(nz, pos[1:-1])  # first nonzero of each later cluster
-            far[at[(at > 0) & (at < nz.size)] - 1] = True
-        cut = far.nonzero()[0]
-        first = [int(nz[0])] + nz[cut + 1].tolist()
-        last = (nz[cut] + 1).tolist() + [int(nz[-1]) + 1]
+    if 0 < np.count_nonzero(buf) == buf.size:  # one cluster with no zero: one block
+        buf.setflags(write=False)
+        return ((starts[0], buf),)
+    nz = (buf != 0).nonzero()[0]
+    if nz.size == 0:
+        return ()
+    cut = (nz[1:] - nz[:-1] > _GAP + 1).nonzero()[0]
+    first = [int(nz[0])] + nz[cut + 1].tolist()
+    last = (nz[cut] + 1).tolist() + [int(nz[-1]) + 1]
     out = []
     for s, e in zip(first, last):
         c = bisect_right(pos, s) - 1

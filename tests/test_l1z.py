@@ -220,6 +220,22 @@ def test_block_boundaries_at_the_gap():
         for r in (pair, l1z.add(delta(0), delta(n)), l1z.convolve(delta(0), pair),
                   l1z.truncate(L1ZSeq({0: 1.0, 1: 1e-20, n: 1.0}), 1e-10)):
             assert len(r.blocks) == count and set(r.coeffs) == {0, n}
+    # two clusters of two overlapping pieces each, so the pieces are summed (to
+    # an exact zero at index 1): _GAP + 1 zeros between the clusters cut them
+    # apart, _GAP make one cluster
+    rng = np.random.default_rng(23)
+    for zeros, count in ((g + 1, 2), (g, 1)):
+        x = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(4)]
+        x[1][0] = -x[0][1]
+        pieces = [(0, x[0]), (1, x[1]), (4 + zeros, x[2]), (5 + zeros, x[3])]
+        for order in (pieces, pieces[::-1]):
+            want = {}
+            for o, v in order:  # Python complex sums, in the order of the pieces
+                for n, c in enumerate(v.tolist(), o):
+                    want[n] = want.get(n, 0j) + c
+            blocks = l1z._merge(order)
+            assert want.pop(1) == 0
+            assert len(blocks) == count and _bits(L1ZSeq(blocks).coeffs) == _bits(want)
 
 
 def test_truncate_rejects_nonpositive_budget():
