@@ -127,18 +127,17 @@ def integrate(
     width = b - a
     if panels is None and tol is None:
         raise InvalidInput("need either tol or panels")
-    n, rounding = panels or 1, 0.0
-    while True:
+    counts = [panels] if panels is not None else [1 << k for k in range(_PANEL_CAP.bit_length())]
+    rounding = 0.0
+    for n in counts:
         quad = _quad_err(curve.modulus, width, n)
-        if panels is not None or quad.value <= tol - rounding:
+        if tol is None or quad.value <= tol - rounding:
             value, bound = _midpoint(curve, a, width / n, n)
             err = cu_add(quad, bound)
             if tol is None or err.value <= tol:
                 return value, err
             rounding = bound.value
-        n *= 2
-        if panels is not None or n > _PANEL_CAP:
-            raise ToleranceUnreachable("tolerance unreachable")
+    raise ToleranceUnreachable("tolerance unreachable")
 
 
 def _midpoint(curve: BanachCurve, a: float, h: float, panels: int) -> Tuple[L1ZSeq, CertUpper]:
@@ -340,7 +339,7 @@ def resolvent_eval(u: L1ZSeq, z: complex, tol: float) -> L1ZSeq:
     z = complex(z)
     nu = norm_upper(u).value
     az = abs(z)
-    if az <= nu * (1.0 + 1e-6) or az == 0.0:
+    if az <= nu * (1.0 + 1e-6):
         raise HypothesisFailure(
             "outside convergence region",
             report={"abs_z": az, "norm_bound": nu},

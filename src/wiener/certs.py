@@ -117,10 +117,6 @@ def cu_div(a: CertUpper, denom_lower: float) -> CertUpper:
     return CertUpper(_up(_guarded(a.value / denom_lower)))
 
 
-def cu_max(a: CertUpper, b: CertUpper) -> CertUpper:
-    return a if a.value >= b.value else b
-
-
 def cu_cross(ta: CertUpper, na: CertUpper, tb: CertUpper, nb: CertUpper) -> CertUpper:
     """Bound ``ta*||b|| + tb*||a|| + ta*tb`` on the slack of a product ``a * b``."""
     return cu_add(cu_add(cu_mul(ta, nb), cu_mul(tb, na)), cu_mul(ta, tb))

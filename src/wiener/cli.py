@@ -102,12 +102,11 @@ def main():
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--epsilon", required=True, type=float, help="circle lower bound to certify")
 @click.option("--target", required=True, type=float, help="residual target")
-@click.option("--grid", type=int, default=None, help="initial certification grid")
 @_envelope
-def invert(input_path, epsilon, target, grid):
+def invert(input_path, epsilon, target):
     """Certified inverse of a sequence-algebra element."""
     f = _read(input_path, l1z.loads)
-    inverse, cert = inversion.wiener_invert(f, epsilon, target, grid=grid)
+    inverse, cert = inversion.wiener_invert(f, epsilon, target)
     payload = {"inverse": l1z.to_jsonable(inverse), "certificate": cert.to_jsonable()}
     return payload, ["residual %.3e" % cert.residual.value]
 

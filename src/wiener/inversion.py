@@ -129,12 +129,7 @@ def circle_min_modulus_certify(
     return report["ok"], report
 
 
-def wiener_invert(
-    f: L1ZSeq,
-    eps: float,
-    target: float,
-    grid: int | None = None,
-) -> Tuple[L1ZSeq, InversionCertificate]:
+def wiener_invert(f: L1ZSeq, eps: float, target: float) -> Tuple[L1ZSeq, InversionCertificate]:
     """Certified inverse of a series bounded away from zero on the circle.
 
     Pipeline: certify the minimum modulus on a doubling grid, then sample
@@ -151,7 +146,7 @@ def wiener_invert(
     """
     if not target > 0.0:
         raise InvalidInput("target must be positive")
-    ok, report = circle_min_modulus_certify(f, eps, grid if grid is not None else 64)
+    ok, report = circle_min_modulus_certify(f, eps, 64)
     if not ok:
         raise HypothesisFailure(
             "hypothesis fails: no certified minimum modulus on the circle",

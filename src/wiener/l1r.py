@@ -813,15 +813,13 @@ def tauberian_divide(
         dp = ps[1] - ps[0]
         fh, _ = fourier_eval_many(f, ps)
         gh, _ = fourier_eval_many(g, ps)
+        # the trapezoid's end weights fall on dlvp_hat's zeros at +-2 band
         khat = gh * dlvp_hat(band, ps) / fh
-        weights = np.full(ps.size, dp / (2.0 * math.pi))
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
 
         nx = int(math.ceil(Xk / hx))
         xs = hx * np.arange(-nx, nx + 1)
         # both grids are uniform: sum_i w_i khat_i exp(i x_j p_i) by chirp-Z
-        kv = _grid_sums(weights * khat, ps[0], dp, -xs)[0]
+        kv = _grid_sums(dp / (2.0 * math.pi) * khat, ps[0], dp, -xs)[0]
         kv[0] = 0.0
         kv[-1] = 0.0
         k = PLFunction(xs, kv)
@@ -842,7 +840,7 @@ def tauberian_divide(
 
 
 # ---------------------------------------------------------------------------
-# JSON / CSV
+# JSON
 
 
 def to_jsonable(f: PLFunction) -> dict:
@@ -877,10 +875,3 @@ def loads(text: str) -> PLFunction:
     if not isinstance(obj, dict):
         raise InvalidInput("expected a JSON object")
     return from_jsonable(obj)
-
-
-def to_csv(f: PLFunction) -> str:
-    lines = ["x,re,im"]
-    for x, v in zip(f.breakpoints, f.values):
-        lines.append("%r,%r,%r" % (float(x), v.real, v.imag))
-    return "\n".join(lines) + "\n"

@@ -20,7 +20,6 @@ result's blocks come from one builder, `_merge`; products take one
 from __future__ import annotations
 
 import json
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -205,10 +204,7 @@ def sub(a: L1ZSeq, b: L1ZSeq) -> L1ZSeq:
 def scale(c: complex, a: L1ZSeq) -> L1ZSeq:
     c = complex(c)
     # cu_abs rejects a NaN (InvalidInput) or infinite (BoundOverflow) scalar
-    if a.tail.value != 0.0 or not (math.isfinite(c.real) and math.isfinite(c.imag)):
-        tail = cu_mul(cu_abs(c), a.tail)
-    else:
-        tail = CU_ZERO
+    tail = cu_mul(cu_abs(c), a.tail)
     return L1ZSeq(_merge(a.blocks, c), tail)
 
 

@@ -97,6 +97,9 @@ def test_integrate_unreachable_tolerance():
     curve = BanachCurve(never, lambda d: cu(1.0))  # modulus never decays
     with pytest.raises(ToleranceUnreachable):
         calculus.integrate(curve, 0.0, 1.0, tol=1e-3)
+    # a fixed panel count whose quadrature term is past tol
+    with pytest.raises(ToleranceUnreachable):
+        calculus.integrate(curve, 0.0, 1.0, tol=1e-3, panels=4)
 
 
 def test_integrate_meets_tol_with_its_rounding():
@@ -110,6 +113,10 @@ def test_integrate_meets_tol_with_its_rounding():
     # a fixed panel count that cannot meet tol is refused, not returned
     with pytest.raises(ToleranceUnreachable):
         calculus.integrate(curve, 0.0, 1.0, tol=tol, panels=4)
+    # and one that meets it is returned
+    value, err = calculus.integrate(curve, 0.0, 1.0, tol=tol, panels=8)
+    assert err.value <= tol
+    assert abs(value.coeffs[0] - 1.5) <= err.value
 
 
 def test_banach_exp_scalar_oracle():

@@ -21,7 +21,6 @@ from wiener.certs import (
     cu_add,
     cu_div,
     cu_from_float_sum,
-    cu_max,
     cu_mul,
     cu_sum,
     cu_sum_abs,
@@ -184,11 +183,6 @@ def test_from_float_sum_rejects_bad_input():
         cu_from_float_sum(float("nan"), 5)
     with pytest.raises(InvalidInput):
         cu_from_float_sum(1.0, 10 ** 14)  # beyond the coarse policy
-
-
-def test_max():
-    assert cu_max(cu(2.0), cu(3.0)).value == 3.0
-    assert cu_max(cu(3.0), cu(2.0)).value == 3.0
 
 
 def test_monotone_inflation():

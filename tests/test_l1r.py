@@ -787,10 +787,3 @@ def test_json_rejects_malformed():
         l1r.from_jsonable(dict(tri, l1_slack=1e400))
     with pytest.raises(InvalidInput):
         l1r.from_jsonable(dict(tri, breakpoints=[-1.0, 0.0, 10 ** 400]))
-
-
-def test_csv_output():
-    text = l1r.to_csv(triangle())
-    lines = text.strip().split("\n")
-    assert lines[0] == "x,re,im"
-    assert len(lines) == 4
