@@ -28,7 +28,9 @@ total variations; 1.01 is a margin), the FFT rounding of the node values,
 and the cross term ``cu_cross(s_f + e_f, mf + e_f, s_g + e_g, mg + e_g)``
 (``s_f`` the slack, ``mf`` the certified mass of ``f``'s body, without
 slack), which carries the inputs' slack and the resampling through the
-product (`convolve`).
+product (`convolve`).  The spacing ``h`` keeps the interpolation and the
+resampling's share of the cross term, second order ``3 e_f e_g``
+included, within ``tol / 2``, and is at most the shorter input's span.
 """
 
 from __future__ import annotations
@@ -292,8 +294,6 @@ def _resample_uniform(f: PLFunction, h: float, sv: float) -> Tuple[np.ndarray, C
     # the extra node guarantees the grid covers the support even after
     # rounding inside ceil
     n = int(math.ceil((hi - lo) / h)) + 1
-    if n < 2:
-        n = 2
     bp = lo + h * np.arange(n + 1)
     vals = evaluate(f, bp)
     vals[0] = 0.0
@@ -355,9 +355,16 @@ def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
       ``||D_f|| <= s_f + e_f`` and ``||fh|| <= ||f|| + e_f <= mf + e_f``, so
       ``s_f s_g`` is counted once.
 
-    The spacing ``h = sqrt(2 tol / denom)`` makes the interpolation term and
-    the resampling's share of the cross term, ``h**2 / 4 (sv_f ng + sv_g
-    nf)``, add up to at most ``tol / 2``.
+    With ``x = h**2 / 4`` the interpolation term and the resampling's share
+    of the cross term add up to ``x denom + 3 x**2 sv_f sv_g``: ``denom``
+    holds ``1.01 tv_f tv_g`` and the first order ``sv_f ng + sv_g nf``, and
+    ``e_f e_g`` comes out of three of the cross term's products (its other
+    resampling terms, ``e_f s_g + e_g s_f``, are the inputs' slack's).  The
+    spacing solves ``x denom + 3 x**2 sv_f sv_g = tol / 2``, ``h**2 = tol /
+    root`` with ``root = denom / 4 + sqrt(denom**2 / 16 + 3 sv_f sv_g tol /
+    8)``, free of cancellation, and is capped at the shorter input's span;
+    where ``root`` underflows (inputs with values below about 1e-162) the cap
+    is taken without dividing.
     """
     if not tol > 0.0:
         raise InvalidInput("tol must be positive")
@@ -368,11 +375,12 @@ def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
         return PLFunction(np.array([0.0, 1.0]), np.zeros(2, dtype=complex), slack)
 
     (tv_f, sv_f), (tv_g, sv_g) = _variations(f), _variations(g)
-    # the 1e-30 keeps denom above 0 where tv_f * tv_g underflows (values below about 1e-162)
-    denom = _up(1.01 * (tv_f * tv_g + sv_f * ng.value + sv_g * (nf.value + 1e-30)))
-    h = math.sqrt(2.0 * tol / denom)
-    span = (f.span()[1] - f.span()[0]) + (g.span()[1] - g.span()[0])
-    if span / h > _NODE_CAP:
+    denom = _up(1.01 * (tv_f * tv_g + sv_f * ng.value + sv_g * nf.value))
+    root = denom / 4.0 + math.hypot(denom / 4.0, math.sqrt(3.0 * sv_f * sv_g * tol / 8.0))
+    span_f, span_g = f.span()[1] - f.span()[0], g.span()[1] - g.span()[0]
+    cap = min(span_f, span_g)
+    h = cap if root * cap * cap <= tol else math.sqrt(tol / root)
+    if (span_f + span_g) / h > _NODE_CAP:
         raise ToleranceUnreachable("tolerance unreachable")
 
     fh, e_f = _resample_uniform(f, h, sv_f)

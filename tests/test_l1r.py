@@ -3,6 +3,7 @@
 import hashlib
 import math
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -285,6 +286,65 @@ def test_convolve_cross_term_with_input_slack():
         assert l1_dist <= c.l1_slack.value, (s_f, s_g)
         # s_f s_g counted once: the cross term plus the resampling and tol
         assert c.l1_slack.value <= cross + 1e-4, (s_f, s_g)
+
+
+# the cubic B-spline T * T, T the unit triangle: ascending coefficients in x
+# on each unit interval of [-2, 2]
+_TT_PIECES = (
+    (-2, (mpmath.mpf(8) / 6, 2, 1, mpmath.mpf(1) / 6)),
+    (-1, (mpmath.mpf(2) / 3, 0, -1, -mpmath.mpf(1) / 2)),
+    (0, (mpmath.mpf(2) / 3, 0, -1, mpmath.mpf(1) / 2)),
+    (1, (mpmath.mpf(8) / 6, -2, 1, -mpmath.mpf(1) / 6)),
+)
+
+
+def mp_triangle_square_distance(c: float, r: PLFunction) -> mpmath.mpf:
+    """128-bit bound at or above ``||c**2 T * T - r||_1``, ``T`` the unit triangle.
+
+    On each piece between the breakpoints of ``r`` and the knots of ``T *
+    T``, the real part of the difference is a cubic in the local variable,
+    integrated in closed form between its real roots; ``int |Im r|`` is
+    added, so the value is at least the exact distance.
+    """
+    c2 = mpmath.mpf(c) ** 2
+    xs = sorted(set(mpmath.mpf(x) for x in r.breakpoints) | {mpmath.mpf(k) for k in range(-2, 3)})
+    total = mpmath.mpf(0)
+    for a, b in zip(xs, xs[1:]):
+        w = b - a
+        ra, rb = (complex(l1r.evaluate(r, [float(x)])[0]) for x in (a, b))
+        p = next((q for k, q in _TT_PIECES if k <= a < k + 1), (0, 0, 0, 0))
+        # c**2 p(a + w u) - Re r(a + w u), ascending in u
+        q = [c2 * sum(p[j] * mpmath.binomial(j, k) * a ** (j - k) for j in range(k, 4)) * w ** k
+             for k in range(4)]
+        q[0] -= ra.real
+        q[1] -= rb.real - ra.real
+        while len(q) > 1 and q[-1] == 0:
+            q.pop()
+        cuts = [mpmath.mpf(0), mpmath.mpf(1)]
+        if len(q) > 1:
+            roots = mpmath.polyroots(q[::-1], maxsteps=200, extraprec=256)
+            cuts += [z.real for z in map(mpmath.mpc, roots)
+                     if abs(z.imag) <= 1e-30 and 0 < z.real < 1]
+        cuts.sort()
+
+        def Q(u):
+            return sum(qk * u ** (k + 1) / (k + 1) for k, qk in enumerate(q))
+
+        total += w * mpmath.fsum(abs(Q(v) - Q(u)) for u, v in zip(cuts, cuts[1:]))
+        total += w * mp_segment_abs(ra.imag, rb.imag)
+    return total
+
+
+def test_convolve_small_inputs_meet_tol():
+    # the spacing rule counts the resampling's second order term and is
+    # capped at the shorter span, so small inputs still meet tol
+    for c in (0.01, 1e-3, 1e-150, 1e-300):
+        t = triangle(0.0, 1.0, c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = l1r.convolve(t, t, 1e-3)
+        assert r.l1_slack.value <= 1e-3, c
+        assert mpmath.mpf(r.l1_slack.value) >= mp_triangle_square_distance(c, r), c
 
 
 def test_convolve_builds_only_its_result(monkeypatch):
