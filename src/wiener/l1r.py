@@ -358,13 +358,13 @@ def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
     With ``x = h**2 / 4`` the interpolation term and the resampling's share
     of the cross term add up to ``x denom + 3 x**2 sv_f sv_g``: ``denom``
     holds ``1.01 tv_f tv_g`` and the first order ``sv_f ng + sv_g nf``, and
-    ``e_f e_g`` comes out of three of the cross term's products (its other
-    resampling terms, ``e_f s_g + e_g s_f``, are the inputs' slack's).  The
-    spacing solves ``x denom + 3 x**2 sv_f sv_g = tol / 2``, ``h**2 = tol /
-    root`` with ``root = denom / 4 + sqrt(denom**2 / 16 + 3 sv_f sv_g tol /
-    8)``, free of cancellation, and is capped at the shorter input's span;
-    where ``root`` underflows (inputs with values below about 1e-162) the cap
-    is taken without dividing.
+    ``e_f e_g`` comes out of three of the cross term's products (the
+    resampling terms that carry input slack, ``e_f s_g + e_g s_f``, are left
+    out).  The spacing solves ``x denom + 3 x**2 sv_f sv_g = tol / 2``:
+    ``h**2 = tol / root``, ``root = denom / 4 + sqrt(denom**2 / 16 + 3 sv_f
+    sv_g tol / 8)``, a form free of cancellation.  ``h`` is capped at the
+    shorter input's span, and where ``root`` underflows (inputs with values
+    below about 1e-162) the cap is taken without dividing.
     """
     if not tol > 0.0:
         raise InvalidInput("tol must be positive")
@@ -821,7 +821,7 @@ def tauberian_divide(
         dp = ps[1] - ps[0]
         fh, _ = fourier_eval_many(f, ps)
         gh, _ = fourier_eval_many(g, ps)
-        # the trapezoid's end weights fall on dlvp_hat's zeros at +-2 band
+        # one trapezoid weight for all: the end samples are dlvp_hat's zeros at +-2 band
         khat = gh * dlvp_hat(band, ps) / fh
 
         nx = int(math.ceil(Xk / hx))

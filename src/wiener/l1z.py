@@ -203,7 +203,7 @@ def sub(a: L1ZSeq, b: L1ZSeq) -> L1ZSeq:
 
 def scale(c: complex, a: L1ZSeq) -> L1ZSeq:
     c = complex(c)
-    # cu_abs rejects a NaN (InvalidInput) or infinite (BoundOverflow) scalar
+    # before _merge: cu_abs rejects a NaN (InvalidInput) or infinite (BoundOverflow) scalar
     tail = cu_mul(cu_abs(c), a.tail)
     return L1ZSeq(_merge(a.blocks, c), tail)
 
