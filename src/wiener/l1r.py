@@ -380,7 +380,7 @@ def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
     span_f, span_g = f.span()[1] - f.span()[0], g.span()[1] - g.span()[0]
     cap = min(span_f, span_g)
     h = cap if root * cap * cap <= tol else math.sqrt(tol / root)
-    if (span_f + span_g) / h > _NODE_CAP:
+    if span_f + span_g > _NODE_CAP * h:  # h underflows to 0 at a subnormal tol
         raise ToleranceUnreachable("tolerance unreachable")
 
     fh, e_f = _resample_uniform(f, h, sv_f)

@@ -11,7 +11,7 @@ import pytest
 
 from wiener import l1r
 from wiener.certs import CU_ZERO, ULP, cu
-from wiener.errors import CertificationFailure, HypothesisFailure, InvalidInput
+from wiener.errors import CertificationFailure, HypothesisFailure, InvalidInput, ToleranceUnreachable
 from wiener.l1r import PLFunction, triangle
 
 from conftest import (
@@ -387,6 +387,9 @@ def test_convolve_zero_short_circuit():
 def test_convolve_rejects_bad_tol():
     with pytest.raises(InvalidInput):
         l1r.convolve(triangle(), triangle(), 0.0)
+    # a subnormal tol whose spacing underflows to 0
+    with pytest.raises(ToleranceUnreachable):
+        l1r.convolve(triangle(), triangle(), 5e-324)
 
 
 def test_fourier_triangle_oracle():
