@@ -1,5 +1,6 @@
 """Line convolution algebra: norms, convolution, transforms, kernels, division."""
 
+import bisect
 import hashlib
 import math
 import time
@@ -307,11 +308,20 @@ def mp_triangle_square_distance(c: float, r: PLFunction) -> mpmath.mpf:
     added, so the value is at least the exact distance.
     """
     c2 = mpmath.mpf(c) ** 2
-    xs = sorted(set(mpmath.mpf(x) for x in r.breakpoints) | {mpmath.mpf(k) for k in range(-2, 3)})
+    bp = [mpmath.mpf(x) for x in r.breakpoints]
+    vals = [mpc(v) for v in r.values]
+
+    def r_at(x):  # exact linear interpolation, zero outside the support
+        i = bisect.bisect_right(bp, x) - 1
+        if i < 0 or i >= len(bp) - 1:
+            return mpmath.mpc(0)
+        return vals[i] + (vals[i + 1] - vals[i]) * (x - bp[i]) / (bp[i + 1] - bp[i])
+
+    xs = sorted(set(bp) | {mpmath.mpf(k) for k in range(-2, 3)})
     total = mpmath.mpf(0)
     for a, b in zip(xs, xs[1:]):
         w = b - a
-        ra, rb = (complex(l1r.evaluate(r, [float(x)])[0]) for x in (a, b))
+        ra, rb = r_at(a), r_at(b)
         p = next((q for k, q in _TT_PIECES if k <= a < k + 1), (0, 0, 0, 0))
         # c**2 p(a + w u) - Re r(a + w u), ascending in u
         q = [c2 * sum(p[j] * mpmath.binomial(j, k) * a ** (j - k) for j in range(k, 4)) * w ** k
@@ -331,7 +341,11 @@ def mp_triangle_square_distance(c: float, r: PLFunction) -> mpmath.mpf:
             return sum(qk * u ** (k + 1) / (k + 1) for k, qk in enumerate(q))
 
         total += w * mpmath.fsum(abs(Q(v) - Q(u)) for u, v in zip(cuts, cuts[1:]))
-        total += w * mp_segment_abs(ra.imag, rb.imag)
+        ia, ib = ra.imag, rb.imag  # int_0^1 |ia + (ib - ia) u| du, split at its root
+        if ia * ib >= 0:
+            total += w * abs(ia + ib) / 2
+        else:
+            total += w * (ia * ia + ib * ib) / (2 * (abs(ia) + abs(ib)))
     return total
 
 
