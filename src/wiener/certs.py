@@ -191,15 +191,18 @@ def fft_roundoff(n: int, norm2: float) -> float:
 def certify_min_modulus(sample, lipschitz: float, eps: float, n: int, cap: int) -> dict:
     """Try to prove ``|F| >= eps`` from samples on grids doubling from ``n``.
 
-    ``sample(n) -> (points, values, err, half_spacing)`` gives ``F`` at
-    points within ``half_spacing`` of every point of the domain, up to
-    ``err`` (which must cover a few ulps of ``|values|``); with
-    ``|F'| <= lipschitz`` each point proves ``|value| - err - lipschitz *
-    half_spacing``.  Stops when that proves ``eps`` (``ok``), when some
-    ``|value| + err < eps`` (``definitely_fails``: no grid can), or at ``cap``.
+    ``sample(n) -> (point, values, err, half_spacing)``: ``values[k]`` is
+    ``F`` at the grid point ``point(k)`` up to ``err`` (which must cover a
+    few ulps of ``|values|``), and every point of the domain is within
+    ``half_spacing`` of a grid point.  ``point`` is called once per grid,
+    for the report's ``worst_point``, so a sampler need not build the
+    points.  With ``|F'| <= lipschitz`` each grid point proves ``|value| -
+    err - lipschitz * half_spacing``.  Stops when that proves ``eps``
+    (``ok``), when some ``|value| + err < eps`` (``definitely_fails``: no
+    grid can), or at ``cap``.
     """
     while True:
-        points, values, err, half = sample(n)
+        point, values, err, half = sample(n)
         mods = np.abs(values)
         fill = _up(lipschitz * half)
         lower = mods - err - fill
@@ -209,6 +212,6 @@ def certify_min_modulus(sample, lipschitz: float, eps: float, n: int, cap: int) 
         if ok or fails or n >= cap:
             return dict(N=n, eps=eps, ok=ok, definitely_fails=fails,
                         min_certified_lower=float(lower[worst]),
-                        worst_point=points[worst].item(), lipschitz=lipschitz,
+                        worst_point=point(worst).item(), lipschitz=lipschitz,
                         fill_slack=fill, err=err)
         n *= 2

@@ -247,33 +247,35 @@ def scale_fn(c: complex, f: PLFunction) -> PLFunction:
 def add_fn(f: PLFunction, g: PLFunction) -> PLFunction:
     """Pointwise sum on the union grid (exact up to evaluation roundoff)."""
     bp = np.union1d(f.breakpoints, g.breakpoints)
-    vals = evaluate(f, bp) + evaluate(g, bp)
-    vals[0] = 0.0
-    vals[-1] = 0.0
-    slack = cu_add(cu_add(f.l1_slack, g.l1_slack), _interp_roundoff(bp, f, g))
-    return PLFunction(bp, vals, slack)
+    vals, rounding = _node_values(bp, f, g)
+    return PLFunction(bp, vals, cu_add(cu_add(f.l1_slack, g.l1_slack), rounding))
 
 
 def sub_fn(f: PLFunction, g: PLFunction) -> PLFunction:
     return add_fn(f, scale_fn(-1.0, g))
 
 
-def _interp_roundoff(nodes: np.ndarray, *fs: PLFunction) -> CertUpper:
-    """Certified L1 norm of the rounding in the sum of ``evaluate(f, nodes)`` over ``fs``.
+def _node_values(nodes: np.ndarray, *fs: PLFunction) -> Tuple[np.ndarray, CertUpper]:
+    """The sum of ``evaluate(f, nodes)`` over ``fs``, its end values set to 0,
+    and the certified L1 norm of its rounding.
 
-    ``np.interp`` gives a part at ``x`` in ``[x_j, x_(j+1)]`` as ``s (x - x_j) +
-    a``, ``s = (b - a) / (x_(j+1) - x_j)``, where ``a`` and ``b`` are the part at
-    the ends.  In units of ``u = 2**-53``: ``s (x - x_j)`` is within 5 (the two
-    differences, the division, the product) of ``(b - a) theta``, which is at
-    most ``2 M``, ``M = max(|a|, |b|)``; adding ``a`` costs 1 of ``M`` and the sum
-    over ``fs`` 1 of each ``M``.  A part is at most the modulus, so a node is off
-    by at most ``12 sqrt(2) u sum_f max |f|``, with the second order below ``9
-    ULP``.  The rounding is linear between nodes, so its L1 norm is at most that
-    times the nodes' span.  That product rounds in ``|f|`` (2), the sum over
+    The sum is taken in the order of ``fs``.  ``np.interp`` gives a part at
+    ``x`` in ``[x_j, x_(j+1)]`` as ``s (x - x_j) + a``, ``s = (b - a) /
+    (x_(j+1) - x_j)``, where ``a`` and ``b`` are the part at the ends.  In
+    units of ``u = 2**-53``: ``s (x - x_j)`` is within 5 (the two
+    differences, the division, the product) of ``(b - a) theta``, which is
+    at most ``2 M``, ``M = max(|a|, |b|)``; adding ``a`` costs 1 of ``M`` and
+    the sum over ``fs`` 1 of each ``M``.  A part is at most the modulus, so
+    a node is off by at most ``12 sqrt(2) u sum_f max |f|``, with the second
+    order below ``9 ULP``.  Zeroing the end values only lowers that.  The
+    rounding is linear between nodes, so its L1 norm is at most that times
+    the nodes' span.  That product rounds in ``|f|`` (2), the sum over
     ``fs`` (``len(fs) - 1``), the span (1) and the product (1).
     """
+    vals = sum((evaluate(f, nodes) for f in fs[1:]), evaluate(fs[0], nodes))
+    vals[[0, -1]] = 0.0
     total = sum(float(np.max(np.abs(f.values))) for f in fs) * float(nodes[-1] - nodes[0])
-    return cu_mul(cu_from_float_sum(total, len(fs) + 3), cu(9 * ULP))
+    return vals, cu_mul(cu_from_float_sum(total, len(fs) + 3), cu(9 * ULP))
 
 
 # ---------------------------------------------------------------------------
@@ -287,27 +289,25 @@ def _resample_uniform(f: PLFunction, h: float, sv: float) -> Tuple[np.ndarray, C
     piecewise-linear interpolant ``fh`` of the exact values is within ``h**2
     sv / 4`` of ``f`` in the one-norm, where ``sv`` is ``f``'s slope
     variation (`_variations`, which the caller has at hand); the computed
-    values add `_interp_roundoff`.  The error ``e_f`` returned is the sum of
+    values add their rounding (`_node_values`).  The error ``e_f`` returned is the sum of
     the two, so ``||fh - f|| <= e_f`` and ``||fh|| <= ||f|| + e_f``.
     """
     lo, hi = f.span()
     # the extra node guarantees the grid covers the support even after
     # rounding inside ceil
     n = int(math.ceil((hi - lo) / h)) + 1
-    bp = lo + h * np.arange(n + 1)
-    vals = evaluate(f, bp)
-    vals[0] = 0.0
-    vals[-1] = 0.0
-    return vals, cu_add(cu(_up(0.25 * h * h * sv)), _interp_roundoff(bp, f))
+    vals, rounding = _node_values(lo + h * np.arange(n + 1), f)
+    return vals, cu_add(cu(_up(0.25 * h * h * sv)), rounding)
 
 
-def _fast_conv(a: np.ndarray, b: np.ndarray, cyclic: bool = False) -> Tuple[np.ndarray, float]:
+def _fast_conv(a: np.ndarray, b: np.ndarray, size: int) -> Tuple[np.ndarray, float]:
     """Discrete convolution ``a * b`` by FFT, and a bound on each output's rounding.
 
-    The output is the full linear convolution, ``a.size + b.size - 1`` long,
-    or with ``cyclic`` the length-``L`` cyclic one cut to the longer input's
-    length (output ``j`` is the sum of the linear outputs ``j + L m``).  The
-    FFT length ``L`` is the first power of two at or above the output length.
+    The output is the first ``size`` outputs of the length-``L`` cyclic
+    convolution (output ``j`` is the sum of the linear outputs ``j + L m``),
+    ``L`` the first power of two at or above ``size``.  At ``size = a.size +
+    b.size - 1`` nothing wraps, and it is the full linear convolution.
+
     Let ``A``, ``B`` be the exact length-``L`` transforms and ``A + E_a``, ``B
     + E_b`` the computed ones: ``||E_a||_2 <= e_a = fft_roundoff(L,
     ||a||_2)`` and ``||A||_2 = sqrt(L) ||a||_2`` (``b`` alike), so ``||A +
@@ -325,7 +325,6 @@ def _fast_conv(a: np.ndarray, b: np.ndarray, cyclic: bool = False) -> Tuple[np.n
     of at most two float norms, each within ``(L + 4) u``, and under 30
     roundings of its own: ``2 L + 40`` in all.
     """
-    size = max(a.size, b.size) if cyclic else a.size + b.size - 1
     L = 1 << (size - 1).bit_length()
     prod = np.fft.fft(a, L) * np.fft.fft(b, L)
     a2, b2 = float(np.linalg.norm(a)), float(np.linalg.norm(b))
@@ -385,7 +384,7 @@ def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
 
     fh, e_f = _resample_uniform(f, h, sv_f)
     gh, e_g = _resample_uniform(g, h, sv_g)
-    w, node_err = _fast_conv(fh, gh)
+    w, node_err = _fast_conv(fh, gh, fh.size + gh.size - 1)
     stencil = np.array([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0])
     nodes = h * np.convolve(w, stencil)
     nodes[0] = 0.0
@@ -422,8 +421,8 @@ def _grid_sums(a: np.ndarray, x0: float, h: float, ps: np.ndarray) -> Tuple[np.n
     at outputs ``n - 1 ... n + k - 2``.  The linear convolution has ``2 n +
     k - 2`` outputs, so in a cyclic one of length ``L >= n + k - 1`` the
     outputs read take no wrapped term (``j + L`` is past the last, ``j - L``
-    below 0), and `_fast_conv` runs it cyclic, about half the linear FFT
-    length.  The error is `_fast_conv`'s bound plus the chirp phases
+    below 0), and `_fast_conv` computes only the first ``n + k - 1``, at
+    about half the linear FFT length.  The error is `_fast_conv`'s bound plus the chirp phases
     (arguments off by an ulp of ``theta (n + k)**2``, and the exponentials
     and products).
     """
@@ -431,7 +430,7 @@ def _grid_sums(a: np.ndarray, x0: float, h: float, ps: np.ndarray) -> Tuple[np.n
     theta = (float(ps[-1]) - float(ps[0])) / max(k - 1, 1) * h
     b = a * np.exp(-1j * ps[0] * h * np.arange(n))
     w = np.exp(0.5j * theta * np.arange(max(n, k), dtype=float) ** 2)
-    core, err = _fast_conv(b * w[:n].conj(), np.concatenate((w[n - 1 : 0 : -1], w[:k])), True)
+    core, err = _fast_conv(b * w[:n].conj(), np.concatenate((w[n - 1 : 0 : -1], w[:k])), n + k - 1)
     err += ULP * (abs(theta) * (n + k) ** 2 + 8.0) * float(np.sum(np.abs(b)))
     return np.exp(-1j * x0 * ps) * (w[:k].conj() * core[n - 1 : n + k - 1]), _up(err)
 
@@ -776,7 +775,7 @@ def certify_transform_lower(f: PLFunction, band: float, eps: float) -> Dict[str,
     def sample(n: int):
         ps = np.linspace(-band, band, n + 1)
         vals, err = fourier_eval_many(f, ps)
-        return ps, vals, err.value, band / n
+        return ps.__getitem__, vals, err.value, band / n
 
     report = certify_min_modulus(sample, transform_lipschitz_upper(f).value, eps, 256, 1 << 21)
     if not report["ok"]:

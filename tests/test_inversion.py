@@ -231,8 +231,13 @@ def test_circle_samples_cover_cancelling_folds():
 
 
 def _check_circle_samples(coeffs, N, ks):
-    points, values, err, half = inversion._circle_sampler(L1ZSeq(coeffs))(N)
-    assert values.shape == points.shape == (N,) and half == math.pi / N
+    point, values, err, half = inversion._circle_sampler(L1ZSeq(coeffs))(N)
+    assert values.shape == (N,) and half == math.pi / N
+    # in ulps of 1, the argument 2 pi k / N is off by 2 |fl(pi) - pi| < 1.1 and by
+    # the division's and the product's roundings (half an ulp of 2 pi each, under
+    # 2 pi), and the exponential's two parts are within half an ulp each (0.71)
+    for k in ks:
+        assert abs(mpc(point(k)) - mpmath.expjpi(mpmath.mpf(2 * k) / N)) <= 9 * 2.0 ** -52
     worst = max(abs(mpc(values[k]) - _mp_circle_value(coeffs, N, k)) for k in ks)
     assert 0 < worst <= err
 
