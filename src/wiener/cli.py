@@ -15,7 +15,7 @@ import sys
 
 import click
 
-from . import calculus, inversion, l1r, l1z
+from . import calculus, certs, inversion, l1r, l1z
 from .errors import HypothesisFailure, InvalidInput, WienerError
 
 _EXIT_FAILED = 2
@@ -172,8 +172,8 @@ def eval_cmd(input_path, lam_re, lam_im):
     """Evaluate a sequence-algebra element on the unit circle."""
     a = _read(input_path, l1z.loads)
     value, err = l1z.eval_circle(a, complex(lam_re, lam_im))
-    # reported bound covers the tail and the evaluation roundoff
-    total_err = err.value + l1z.eval_roundoff_bound(a)
+    # reported bound covers the tail and the evaluation roundoff; inf is a BoundOverflow
+    total_err = certs.CertUpper(err.value + l1z.eval_roundoff_bound(a)).value
     return {"re": value.real, "im": value.imag, "err": total_err}, []
 
 

@@ -318,14 +318,21 @@ def eval_circle(a: L1ZSeq, lam: complex) -> Tuple[complex, CertUpper]:
     """Evaluate the series at a point of the unit circle.
 
     Returns the finite-part value and an error bound covering the
-    unrepresented tail (``|r(lam)| <= ||r||_1``).
+    unrepresented tail (``|r(lam)| <= ||r||_1``).  A power that overflows
+    (``|lam|`` may exceed 1 by ``_CIRCLE_TOL``) or a value that is not
+    finite raises `BoundOverflow`.
     """
     lam = complex(lam)
     if not abs(abs(lam) - 1.0) <= _CIRCLE_TOL:  # written so that NaN fails
         raise InvalidInput("not on circle")
     v = 0j
-    for n, c in a.coeffs.items():
-        v += c * lam ** n
+    try:
+        for n, c in a.coeffs.items():
+            v += c * lam ** n
+    except OverflowError:
+        raise BoundOverflow("power overflow") from None
+    if not np.isfinite(v):
+        raise BoundOverflow("value overflow")
     return v, a.tail
 
 
@@ -334,11 +341,16 @@ def eval_roundoff_bound(a: L1ZSeq) -> float:
 
     Power-by-squaring of a unit complex number after ``|n|`` effective
     multiplies plus the accumulation sum stay well inside
-    ``8 * (max|n| + m + 2) * ulp * sum|a_n|``; generous by design.
+    ``8 * (max|n| + m + 2) * ulp * sum|a_n|``; generous by design.  A
+    modulus beyond the largest double raises `BoundOverflow`; a sum that
+    overflows gives ``inf``.
     """
     lo, hi = a.support()  # (0, 0) for the zero element, whose mass is 0
     radius = max(abs(lo), abs(hi))
-    mass = sum(map(abs, _values(a)))  # a zero adds an exact 0.0
+    try:
+        mass = sum(map(abs, _values(a)))  # a zero adds an exact 0.0
+    except OverflowError:
+        raise BoundOverflow("bound overflow") from None
     return 8.0 * ULP * (radius + sum(int(np.count_nonzero(x)) for _, x in a.blocks) + 2) * mass
 
 

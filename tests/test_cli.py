@@ -177,6 +177,9 @@ _INPUTS = {
     "sing.json": l1z.dumps(L1ZSeq({0: 1.0, 1: 1.0})),
     "far.json": l1z.dumps(L1ZSeq({0: 1.0, 2 ** 70: 1e-300})),
     "huge.json": l1z.dumps(L1ZSeq({0: 1e300, 1: 1e300})),
+    "max.json": l1z.dumps(L1ZSeq({0: 1e308, 1: 1e308})),
+    "cancel.json": l1z.dumps(L1ZSeq({0: 1e308, 1: -1e308})),
+    "wide.json": l1z.dumps(L1ZSeq({0: 1.5e308 + 1.5e308j})),
     "tail.json": '{"coeffs": [{"n": 0, "re": 1.0, "im": 0.0}], "tail": 1e400}',
     "bigindex.json": '{"coeffs": [{"n": 0, "re": 1.0, "im": 0.0}, '
                      '{"n": 1%s, "re": 0.5, "im": 0.0}], "tail": 0.0}' % ("0" * 399),
@@ -216,6 +219,12 @@ _FAILURE_ROWS = [
     (["invert", "--input", "bigindex.json", "--epsilon", "0.3", "--target", "1e-8"],
      3, "invalid-input"),
     (["eval", "--input", "bigindex.json", "--re", "-1", "--im", "0"], 3, "invalid-input"),
+    # a power, a value, an error bound and a modulus that overflow
+    (["eval", "--input", "far.json", "--re", "0.6", "--im", "0.8000000000001"],
+     2, "not-certified"),
+    (["eval", "--input", "max.json", "--re", "1"], 2, "not-certified"),
+    (["eval", "--input", "cancel.json", "--re", "1"], 2, "not-certified"),
+    (["eval", "--input", "wide.json", "--re", "1"], 2, "not-certified"),
     (["norm", "--input", "f.json", "--out", "missing/x.json"], 3, "invalid-input"),
     (["resolvent-demo", "--u", "u.json", "--radius", "2", "--steps", "16",
       "--trace", "missing/t.csv"], 3, "invalid-input"),
