@@ -289,8 +289,9 @@ def _resample_uniform(f: PLFunction, h: float, sv: float) -> Tuple[np.ndarray, C
     piecewise-linear interpolant ``fh`` of the exact values is within ``h**2
     sv / 4`` of ``f`` in the one-norm, where ``sv`` is ``f``'s slope
     variation (`_variations`, which the caller has at hand); the computed
-    values add their rounding (`_node_values`).  The error ``e_f`` returned is the sum of
-    the two, so ``||fh - f|| <= e_f`` and ``||fh|| <= ||f|| + e_f``.
+    values add their rounding (`_node_values`).  The error ``e_f`` returned
+    is the sum of the two, so ``||fh - f|| <= e_f`` and ``||fh|| <= ||f|| +
+    e_f``.
     """
     lo, hi = f.span()
     # the extra node guarantees the grid covers the support even after
@@ -422,9 +423,9 @@ def _grid_sums(a: np.ndarray, x0: float, h: float, ps: np.ndarray) -> Tuple[np.n
     k - 2`` outputs, so in a cyclic one of length ``L >= n + k - 1`` the
     outputs read take no wrapped term (``j + L`` is past the last, ``j - L``
     below 0), and `_fast_conv` computes only the first ``n + k - 1``, at
-    about half the linear FFT length.  The error is `_fast_conv`'s bound plus the chirp phases
-    (arguments off by an ulp of ``theta (n + k)**2``, and the exponentials
-    and products).
+    about half the linear FFT length.  The error is `_fast_conv`'s bound
+    plus the chirp phases (arguments off by an ulp of ``theta (n + k)**2``,
+    and the exponentials and products).
     """
     n, k = a.size, ps.size
     theta = (float(ps[-1]) - float(ps[0])) / max(k - 1, 1) * h

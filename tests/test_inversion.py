@@ -233,9 +233,10 @@ def test_circle_samples_cover_cancelling_folds():
 def _check_circle_samples(coeffs, N, ks):
     point, values, err, half = inversion._circle_sampler(L1ZSeq(coeffs))(N)
     assert values.shape == (N,) and half == math.pi / N
-    # in ulps of 1, the argument 2 pi k / N is off by 2 |fl(pi) - pi| < 1.1 and by
-    # the division's and the product's roundings (half an ulp of 2 pi each, under
-    # 2 pi), and the exponential's two parts are within half an ulp each (0.71)
+    # in ulps of 1 (2**-52): the argument 2 pi k / N is off by 2 |fl(pi) - pi| < 1.1,
+    # and by the division's and the product's roundings, a relative 2**-53 of at most
+    # 2 pi each (2 pi in all); the exponential's two parts, each within an ulp of a
+    # value below 1, add 0.71
     for k in ks:
         assert abs(mpc(point(k)) - mpmath.expjpi(mpmath.mpf(2 * k) / N)) <= 9 * 2.0 ** -52
     worst = max(abs(mpc(values[k]) - _mp_circle_value(coeffs, N, k)) for k in ks)

@@ -182,7 +182,7 @@ def test_eval_circle_overflow_is_bound_overflow():
     # |lam| is 1 + 8e-14, inside the circle tolerance: its 2**70-th power overflows
     with pytest.raises(BoundOverflow):
         l1z.eval_circle(L1ZSeq({0: 1.0, 2 ** 70: 1e-300}), 0.6 + 0.8000000000001j)
-    with pytest.raises(BoundOverflow):  # a finite sum of terms beyond the largest double
+    with pytest.raises(BoundOverflow):  # finite terms whose sum is beyond the largest double
         l1z.eval_circle(L1ZSeq({0: 1e308, 1: 1e308}), 1.0)
     with pytest.raises(BoundOverflow):  # a modulus beyond the largest double
         l1z.eval_roundoff_bound(L1ZSeq({0: 1.5e308 + 1.5e308j}))
