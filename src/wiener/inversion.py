@@ -128,6 +128,24 @@ def circle_min_modulus_certify(
     return report["ok"], report
 
 
+def _read_off(coeff: np.ndarray, budget: float) -> L1ZSeq:
+    """The element with the ``M`` coefficients ``coeff`` at ``n = 1 - M/2 ... M/2``, thinned.
+
+    Zeroes each coefficient of modulus at most ``budget / M``, then the
+    longest prefix of the others, in ``(|c|, |n|, -n)`` order, whose float
+    running sum of moduli is at most ``budget``.  ``np.hypot`` rounds each
+    modulus as Python's ``abs`` does.
+    """
+    M = coeff.size
+    j = (np.abs(coeff) > budget / M).nonzero()[0]  # a NaN fails too; j holds n = j + 1 - M/2
+    mods = np.hypot(coeff.real[j], coeff.imag[j])
+    order = np.lexsort((-j, np.abs(j + 1 - M // 2), mods))  # by |c|, then |n|, then -n
+    kept = j[order[np.searchsorted(np.cumsum(mods[order]), budget, "right"):]]
+    out = np.zeros(M, dtype=complex)
+    out[kept] = coeff[kept]
+    return l1z.from_dense(1 - M // 2, out)
+
+
 def wiener_invert(f: L1ZSeq, eps: float, target: float) -> Tuple[L1ZSeq, InversionCertificate]:
     """Certified inverse of a series bounded away from zero on the circle.
 
@@ -138,10 +156,11 @@ def wiener_invert(f: L1ZSeq, eps: float, target: float) -> Tuple[L1ZSeq, Inversi
     residual is below one, a doubling that does not halve it has reached
     the floating floor and ends the search.
 
-    With ``budget = target / (8 (1 + ||f||))`` the read-off skips the (at
-    most ``M``) coefficients below ``budget / M``, then truncates within
-    ``budget`` and keeps the finite element that is left: dropping at most
-    ``2 budget`` moves the residual by under ``target / 4``.
+    With ``budget = target / (8 (1 + ||f||))`` the read-off (`_read_off`)
+    skips the (at most ``M``) coefficients of modulus at most ``budget / M``,
+    then the smallest of the rest within ``budget``, and keeps the finite
+    element that is left: dropping at most ``2 budget`` moves the residual
+    by under ``target / 4``.
     """
     if not target > 0.0:
         raise InvalidInput("target must be positive")
@@ -157,11 +176,8 @@ def wiener_invert(f: L1ZSeq, eps: float, target: float) -> Tuple[L1ZSeq, Inversi
     M = max(64, 1 << (2 * max(abs(lo), abs(hi), 1)).bit_length())
     best_rho, sample = math.inf, _circle_sampler(f)
     while M <= _GRID_CAP:
-        coeff = np.fft.fft(1.0 / sample(M)[1]) / M
-        coeff[~(np.abs(coeff) > budget / M)] = 0.0
         # circular index j <= M/2 is n = j, a larger one n = j - M
-        h = l1z.from_dense(1 - M // 2, np.concatenate((coeff[M // 2 + 1:], coeff[:M // 2 + 1])))
-        h = L1ZSeq(l1z.truncate(h, budget).blocks)
+        h = _read_off(np.roll(np.fft.fft(1.0 / sample(M)[1]) / M, M // 2 - 1), budget)
         rho = residual_norm(f, h)
         if rho.value <= target:
             params = {"grid": report["N"], "degree": M, "target": target, "eps": eps}

@@ -372,7 +372,8 @@ def fold(a: L1ZSeq, n: int) -> Tuple[np.ndarray, float]:
     At most ``ceil(span / n)`` coefficients share a residue, so each sum
     rounds at most ``ceil(span / n) - 1`` times, each within ``ULP`` of the
     mass.  A block's offset is folded as a Python int, so any index folds
-    exactly.
+    exactly.  A mass beyond the largest double gives a bound that is not
+    finite, without a warning.
     """
     c = np.concatenate([x for _, x in a.blocks] or [np.zeros(0, dtype=complex)])
     j = np.concatenate([np.arange(o % n, o % n + x.size) for o, x in a.blocks]
@@ -381,46 +382,9 @@ def fold(a: L1ZSeq, n: int) -> Tuple[np.ndarray, float]:
     x.real = np.bincount(j, weights=c.real, minlength=n)
     x.imag = np.bincount(j, weights=c.imag, minlength=n)
     lo, hi = a.support()
-    return x, (-((lo - hi - 1) // n) - 1) * ULP * float(np.sum(np.abs(c)))
-
-
-def truncate(a: L1ZSeq, budget: float) -> L1ZSeq:
-    """Drop smallest-modulus coefficients within an l1 budget.
-
-    Dropped mass (certified) is added to the tail, so the result still
-    represents everything the input did.  Ties break toward smaller
-    ``|index|``, then the positive index.  The running sum of the sorted
-    moduli does not depend on how ties are ordered, so the tie-break is
-    taken only among the moduli equal to the last one dropped.
-    """
-    if not budget > 0.0:
-        raise InvalidInput("truncation budget must be positive")
-    flat = np.concatenate([x for _, x in a.blocks] or [np.zeros(0, dtype=complex)])
-    pos = list(accumulate((x.size for _, x in a.blocks), initial=0))
-    nz = (flat != 0).nonzero()[0]
-    mods = np.array(list(map(abs, flat[nz].tolist())), dtype=float)
-    ordered = np.sort(mods)
-    dropped, k = CU_ZERO, 0
-    for total in np.cumsum(ordered).tolist():  # sequential, as a running sum
-        step = cu_from_float_sum(total, k + 2)  # k + 1 moduli (2 roundings) summed in order (k)
-        if step.value > budget:
-            break
-        dropped, k = step, k + 1
-    if k:
-        edge = ordered[k - 1]
-        drop = nz[mods < edge]
-
-        def key(p):  # (|n|, -n) of the index n at flat position p
-            c = bisect_right(pos, p) - 1
-            n = a.blocks[c][0] + p - pos[c]
-            return abs(n), -n
-
-        ties = sorted(nz[mods == edge].tolist(), key=key)
-        flat[drop] = 0
-        flat[ties[:k - drop.size]] = 0
-        pieces = [(o, flat[p:q]) for (o, _), p, q in zip(a.blocks, pos, pos[1:])]
-        return L1ZSeq(_merge(pieces), cu_add(a.tail, dropped))
-    return L1ZSeq(a.blocks, cu_add(a.tail, dropped))
+    with np.errstate(over="ignore"):
+        mass = float(np.sum(np.abs(c)))
+    return x, (-((lo - hi - 1) // n) - 1) * ULP * mass
 
 
 # ---------------------------------------------------------------------------

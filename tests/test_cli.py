@@ -218,6 +218,9 @@ _FAILURE_ROWS = [
      2, "not-certified"),
     (["invert", "--input", "bigindex.json", "--epsilon", "0.3", "--target", "1e-8"],
      3, "invalid-input"),
+    # a coefficient mass beyond the largest double, folded for the circle samples
+    (["invert", "--input", "cancel.json", "--epsilon", "0.3", "--target", "1e-8"],
+     2, "not-certified"),
     (["eval", "--input", "bigindex.json", "--re", "-1", "--im", "0"], 3, "invalid-input"),
     # a power, a value, an error bound and a modulus that overflow
     (["eval", "--input", "far.json", "--re", "0.6", "--im", "0.8000000000001"],

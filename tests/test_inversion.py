@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiener import inversion, l1z
 from wiener.certs import cu
@@ -100,25 +102,66 @@ def test_wiener_invert_randomized_sound(rng):
         assert mp_residual(f, inv) <= mpmath.mpf(cert.residual.value)
 
 
+def _loop_read_off(coeffs, M, budget):
+    """The read-off one coefficient at a time, from the window's ``n -> c``.
+
+    Keeps each ``|c| > budget / M``, then drops the smallest in ``(|c|,
+    |n|, -n)`` order while their float running sum stays within ``budget``.
+    """
+    kept = {n: c for n, c in coeffs.items() if abs(c) > budget / M}
+    total = 0.0
+    for n, c in sorted(kept.items(), key=lambda item: (abs(item[1]), abs(item[0]), -item[0])):
+        total += abs(c)
+        if total > budget:
+            break
+        del kept[n]
+    return L1ZSeq(kept)
+
+
+def _window(coeffs, M):
+    """The coefficients ``n -> c`` as the array at ``n = 1 - M/2 ... M/2``."""
+    x = np.zeros(M, dtype=complex)
+    for n, c in coeffs.items():
+        x[n + M // 2 - 1] = c
+    return x
+
+
 @pytest.mark.parametrize(
     "coeffs", [{0: 1.0, 1: 0.5, -3: 0.125}, {0: 2.0}, {0: 1.0, 40: -0.25j, -7: 0.3}]
 )
 def test_candidate_readoff_matches_loop(coeffs):
     # the witness is the loop read-off of the samples at the final degree,
-    # truncated within the budget, with the dropped mass not carried along
+    # with the dropped mass not carried along
     f, target = L1ZSeq(coeffs), 1e-8
     inv, cert = inversion.wiener_invert(f, 0.2, target)
     M = cert.params["degree"]
     budget = target / (8.0 * (1.0 + l1z.norm_upper(f).value))
     coeff = np.fft.fft(1.0 / inversion._circle_sampler(f)(M)[1]) / M
-    loop = {}
-    for j in range(M):
-        n = j if j <= M // 2 else j - M
-        c = complex(coeff[j])
-        if abs(c) > budget / M:
-            loop[n] = c
-    want = L1ZSeq(l1z.truncate(L1ZSeq(loop), budget).coeffs)
+    # circular index j <= M/2 is n = j, a larger one n = j - M
+    loop = {j if j <= M // 2 else j - M: complex(c) for j, c in enumerate(coeff.tolist())}
+    want = _loop_read_off(loop, M, budget)
     assert l1z.dumps(inv) == l1z.dumps(cert.witness) == l1z.dumps(want)
+
+
+def test_read_off_tie_break_prefers_small_then_positive_index():
+    x = _window({-2: 1.0, -1: 1j, 0: 8.0, 1: -1.0, 2: -1j}, 64)
+    # unit moduli sum exactly: a budget of k (and up to k + 1) drops k of the ties
+    for budget, dropped in ((1.5, {1}), (2.0, {1, -1}), (2.5, {1, -1}), (3.5, {1, -1, 2})):
+        assert set(inversion._read_off(x, budget).coeffs) == {-2, -1, 0, 1, 2} - dropped
+
+
+_PART = st.floats(-1.0, 1.0)
+_TIES = st.sampled_from([0j, 1e-3, -1e-3j, 0.5, 0.25 + 0.25j, -0.25 - 0.25j, 2.0 + 1.0j])
+
+
+@given(st.dictionaries(st.integers(-31, 32), st.one_of(_TIES, st.builds(complex, _PART, _PART))),
+       st.floats(0.0, 1.5))
+@settings(max_examples=60, deadline=None)
+def test_read_off_keeps_the_sort_and_scan_set(coeffs, frac):
+    # repeated moduli, zeros and signed zeros: one numpy pass gives the loop's bits
+    x = _window(coeffs, 64)
+    budget = max(frac * float(np.sum(np.abs(x))), 1e-300)
+    assert l1z.dumps(inversion._read_off(x, budget)) == l1z.dumps(_loop_read_off(coeffs, 64, budget))
 
 
 def _decaying_symbol(n, seed):
@@ -151,7 +194,7 @@ def test_wiener_invert_stops_at_floating_floor(f, eps, target):
 
 
 def test_wiener_invert_long_symbol():
-    # above 2,048 coefficients the whole symbol is sampled: a truncated
+    # above 2,048 coefficients the whole symbol is sampled: a shortened
     # copy would floor the residual near its dropped mass times ||1/f||
     f = _decaying_symbol(3001, 3001)
     inv, cert = inversion.wiener_invert(f, 0.4, 1e-9)

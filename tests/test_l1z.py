@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wiener import l1z
-from wiener.certs import CU_ZERO, CertUpper, cu, cu_add, cu_from_float_sum, cu_mul, cu_sum
+from wiener.certs import CU_ZERO, CertUpper, cu, cu_add, cu_mul, cu_sum
 from wiener.errors import BoundOverflow, InvalidInput
 from wiener.l1z import L1ZSeq, delta
 
@@ -205,30 +205,13 @@ def test_circle_lipschitz_needs_finite_support():
         l1z.circle_lipschitz_upper(L1ZSeq({0: 1.0}, cu(0.1)))
 
 
-def test_truncate_is_sound_and_budgeted():
-    a = L1ZSeq({0: 1.0, 1: 0.01, 2: 0.02, 3: 0.5})
-    t = l1z.truncate(a, 0.05)
-    dropped = mp_seq_norm({n: c for n, c in a.coeffs.items() if n not in t.coeffs})
-    assert mpmath.mpf(t.tail.value) >= dropped
-    assert t.tail.value <= 0.05
-    assert 0 in t.coeffs and 3 in t.coeffs
-
-
-def test_truncate_tie_break_prefers_small_then_positive_index():
-    a = L1ZSeq({-2: 1.0, -1: 1j, 0: 8.0, 1: -1.0, 2: -1j})
-    # k unit moduli certify at k (1 + O(ulp)): each budget drops k of the ties
-    for budget, dropped in ((1.5, {1}), (2.5, {1, -1}), (3.5, {1, -1, 2})):
-        assert set(l1z.truncate(a, budget).coeffs) == {-2, -1, 0, 1, 2} - dropped
-
-
 def test_block_boundaries_at_the_gap():
     # at most _GAP zeros stay inside a block and one more starts a new one,
     # whichever operation builds the element
     g = l1z._GAP
     for n, count in ((g + 1, 1), (g + 2, 2)):
         pair = L1ZSeq({0: 1.0, n: 1.0})
-        for r in (pair, l1z.add(delta(0), delta(n)), l1z.convolve(delta(0), pair),
-                  l1z.truncate(L1ZSeq({0: 1.0, 1: 1e-20, n: 1.0}), 1e-10)):
+        for r in (pair, l1z.add(delta(0), delta(n)), l1z.convolve(delta(0), pair)):
             assert len(r.blocks) == count and set(r.coeffs) == {0, n}
     # two clusters of two overlapping pieces each, so the pieces are summed (to
     # an exact zero at index 1): _GAP + 1 zeros between the clusters cut them
@@ -246,11 +229,6 @@ def test_block_boundaries_at_the_gap():
             blocks = l1z._merge(order)
             assert want.pop(1) == 0
             assert len(blocks) == count and _bits(L1ZSeq(blocks).coeffs) == _bits(want)
-
-
-def test_truncate_rejects_nonpositive_budget():
-    with pytest.raises(InvalidInput):
-        l1z.truncate(delta(0), 0.0)
 
 
 def test_json_round_trip():
@@ -289,7 +267,7 @@ _POOL = st.sampled_from([1.0, -0.5, 0.5j, 0.5, 0.25 + 0.25j, -2.0 + 1.0j, 0j])
 
 
 def _coeffs(part):
-    # repeated moduli for truncate's ties, zeros for runs inside a block
+    # repeated moduli, zeros for runs inside a block
     return st.one_of(st.builds(complex, part, part), _POOL)
 
 
@@ -370,26 +348,6 @@ def test_blocks_scale_shift_weighted_sum(a, b, c, k, w):
                 for n in set(a.coeffs) | set(b.coeffs)}
         assert got.coeffs == _rounded(want)
     assert got.tail == cu_add(cu_mul(cu(abs(w)), cu_sum([a.tail, b.tail])), CU_ZERO)
-    _assert_sound_block_element(got)
-
-
-@given(blocky(), st.floats(0.0, 1.5))
-@settings(max_examples=60, deadline=None)
-def test_blocks_truncate_keeps_the_sort_and_scan_set(a, frac):
-    budget = max(frac * l1z.norm_upper(a).value, 1e-300)
-    got = l1z.truncate(a, budget)
-    # drop in the order (|c|, |n|, -n) while the certified running sum fits
-    order = sorted(a.coeffs.items(), key=lambda item: (abs(item[1]), abs(item[0]), -item[0]))
-    kept, dropped, total = dict(a.coeffs), CU_ZERO, 0.0
-    for k, (n, c) in enumerate(order, 1):
-        total += abs(c)
-        step = cu_from_float_sum(total, k + 1)
-        if step.value > budget:
-            break
-        dropped = step
-        del kept[n]
-    assert got.coeffs == kept
-    assert got.tail == cu_add(a.tail, dropped)
     _assert_sound_block_element(got)
 
 
