@@ -99,32 +99,41 @@ def _circle_sampler(f: L1ZSeq):
     one FFT of the folded array; ``point(k)`` is ``w^k``, and every point of
     the circle is within an arc ``pi / n`` of one.  ``err`` is the tail plus
     the fold's and the FFT's rounding bounds.  `wiener_invert` reads the
-    inverse off the reciprocal of the same values.
+    inverse off the reciprocal of the same values.  The sampler keeps its
+    last grid, so a read-off at the certified ``n`` takes no second fold or
+    FFT.
     """
+    last = {}
+
     def sample(n: int):
-        x, fold = l1z.fold(f, n)
-        err = _up(f.tail.value + fold + certs.fft_roundoff(n, math.sqrt(np.vdot(x, x).real)))
-        values = np.fft.ifft(x, norm="forward")  # unscaled: sum_j x_j w^(jk)
-        return lambda k: np.exp((2j * math.pi / n) * k), values, err, math.pi / n
+        if n not in last:
+            x, fold = l1z.fold(f, n)
+            err = _up(f.tail.value + fold + certs.fft_roundoff(n, math.sqrt(np.vdot(x, x).real)))
+            values = np.fft.ifft(x, norm="forward")  # unscaled: sum_j x_j w^(jk)
+            last.clear()
+            last[n] = (lambda k: np.exp((2j * math.pi / n) * k), values, err, math.pi / n)
+        return last[n]
 
     return sample
 
 
 def circle_min_modulus_certify(
-    f: L1ZSeq, eps: float, N: int
+    f: L1ZSeq, eps: float, N: int, sample=None
 ) -> Tuple[bool, Dict[str, object]]:
     """Try to prove ``|f(lam)| >= eps`` on the whole unit circle.
 
     Grid plus Lipschitz (``certify_min_modulus``) on roots of unity, the
     grid doubling from ``N`` up to ``_GRID_CAP``; a larger ``N`` is invalid
     input.  ``True`` is a proof; ``False`` comes with the last grid's report.
+    ``sample`` is ``f``'s `_circle_sampler` when the caller samples ``f``
+    again (`wiener_invert`), otherwise a new one.
     """
     if not 8 <= N <= _GRID_CAP:
         raise InvalidInput("grid size must lie in [8, %d]" % _GRID_CAP)
     if not eps > 0.0:
         raise InvalidInput("eps must be positive")
     L = l1z.circle_lipschitz_upper(L1ZSeq(f.blocks)).value
-    report = certs.certify_min_modulus(_circle_sampler(f), L, eps, N, _GRID_CAP)
+    report = certs.certify_min_modulus(sample or _circle_sampler(f), L, eps, N, _GRID_CAP)
     return report["ok"], report
 
 
@@ -164,7 +173,8 @@ def wiener_invert(f: L1ZSeq, eps: float, target: float) -> Tuple[L1ZSeq, Inversi
     """
     if not target > 0.0:
         raise InvalidInput("target must be positive")
-    ok, report = circle_min_modulus_certify(f, eps, 64)
+    sample = _circle_sampler(f)
+    ok, report = circle_min_modulus_certify(f, eps, 64, sample)
     if not ok:
         raise HypothesisFailure(
             "hypothesis fails: no certified minimum modulus on the circle",
@@ -174,7 +184,7 @@ def wiener_invert(f: L1ZSeq, eps: float, target: float) -> Tuple[L1ZSeq, Inversi
     lo, hi = f.support()
     budget = target / (8.0 * (1.0 + norm_upper(f).value))
     M = max(64, 1 << (2 * max(abs(lo), abs(hi), 1)).bit_length())
-    best_rho, sample = math.inf, _circle_sampler(f)
+    best_rho = math.inf
     while M <= _GRID_CAP:
         # circular index j <= M/2 is n = j, a larger one n = j - M
         h = _read_off(np.roll(np.fft.fft(1.0 / sample(M)[1]) / M, M // 2 - 1), budget)

@@ -16,21 +16,21 @@ included), the rounding of the split weights, and the rounding term it
 shares with the closed form.  The one-norm is the exact integral of
 ``|f|`` on each segment, in closed form, with a derived rounding bound.
 
-Convolution strategy: both inputs are resampled to node values on a
-common uniform grid, the exact node values of the convolution of the
-resampled pair are computed by a discrete convolution smoothed with the
-hat-times-hat stencil ``[1/6, 2/3, 1/6]``, and the result is their
-piecewise-linear interpolant.  Its slack has four terms: the resampling
-error ``e_f = h**2 sv_f / 4`` plus the evaluation rounding (``sv_f`` the
-kink mass of ``f``), the interpolation error of the exact
-(piecewise-cubic) convolution, ``h**2 / 4`` times ``1.01 tv_f tv_g`` (the
-total variations; 1.01 is a margin), the FFT rounding of the node values,
-and the cross term ``cu_cross(s_f + e_f, mf + e_f, s_g + e_g, mg + e_g)``
-(``s_f`` the slack, ``mf`` the certified mass of ``f``'s body, without
-slack), which carries the inputs' slack and the resampling through the
-product (`convolve`).  The spacing ``h`` keeps the interpolation and the
-resampling's share of the cross term, second order ``3 e_f e_g``
-included, within ``tol / 2``, and is at most the shorter input's span.
+Convolution strategy: one input is split into bands and the other is
+resampled at each band's step; each band's product is one FFT convolution
+of node values smoothed with the hat-times-hat stencil ``[1/6, 2/3,
+1/6]``, and the band outputs are summed on the union of their grids
+(`convolve`).  The bands are the pieces of a lattice input, one per run of
+equal steps, each resampled exactly on its own lattice at ``w / 2**k`` of
+its step (`_lattice_pieces`); the steps come from the node-minimising
+budget split that `fejer_kernel` uses too (`_band_steps`), and the plan
+with the fewest nodes runs.  A uniform or non-nested input, or a split
+that would not cut the node count, is the one-band case, resampled at one
+step ``h`` with error ``h**2 sv_f / 4`` (``sv_f`` the kink mass).  The
+slack adds the inputs' slack through the product, per band the cross
+term of its resampling, the interpolation of the piecewise-cubic product
+(``h**2 / 4`` times the resampled arrays' total variations), the FFT and
+stencil rounding, and the rounding of the sum of the bands.
 """
 
 from __future__ import annotations
@@ -336,35 +336,141 @@ def _fast_conv(a: np.ndarray, b: np.ndarray, size: int) -> Tuple[np.ndarray, flo
     return np.fft.ifft(prod)[:size], cu_from_float_sum(total, 2 * L + 40).value
 
 
+def _band_steps(L: np.ndarray, q: np.ndarray, budget: float) -> np.ndarray:
+    """The steps ``t_j`` that minimise the node count ``sum L_j / t_j`` when
+    band ``j`` of length ``L_j`` costs ``t_j**2 L_j q_j`` of ``budget``.
+
+    By Lagrange, ``t_j**3`` is proportional to ``1 / q_j``, and the budget
+    is spent in full: ``t_j = sqrt(budget / sum_k L_k q_k**(1/3)) /
+    q_j**(1/3)``, so band ``j`` gets ``budget L_j q_j**(1/3) / sum_k L_k
+    q_k**(1/3)``.  A band with ``q_j = 0`` needs no budget, and its step is
+    ``inf``.  `fejer_kernel` and `convolve` round these steps down.
+    """
+    c3 = np.cbrt(q)
+    with np.errstate(divide="ignore"):
+        return np.sqrt(budget / np.sum(L * c3)) / c3
+
+
+def _lattice_pieces(f: PLFunction):
+    """``f`` on one lattice, split into pieces of one step each, or ``None``.
+
+    The breakpoints are read as ``bp[0] + u N_i`` (`_units`).  ``drift``, the
+    largest distance of a breakpoint from its lattice point, moves each edge
+    of a node's hat by at most that, so the function on the lattice is
+    within ``dist = 2 drift sum|v|`` of ``f`` (with the float lattice's own
+    rounding, as in `_hat_lattices`); above a relative 1e-9, ``f`` is not a
+    lattice.  Each interior node's hat goes to the run of equal segments
+    holding its shorter segment, and the nodes of one run make one piece:
+    ``f`` on nodes ``lo + 1 ... hi``, zero at ``lo`` and ``hi + 1``.  The
+    pieces sum to ``f`` on the lattice exactly.  A piece's step ``w`` (in
+    units) is the gcd of its segments and of its left end, so every node of
+    it lies on ``w Z``.  Returns ``(u, dist, N, lo, hi, w)``.
+    """
+    bp, v = f.breakpoints, f.values
+    m, N, u = _units(bp)
+    drift = float(np.max(np.abs(bp - (bp[0] + u * N))))
+    if not drift <= 1e-9 * u or m.size < 2:
+        return None
+    run = np.concatenate(([0], np.cumsum(m[1:] != m[:-1])))
+    own = np.where(m[:-1] <= m[1:], run[:-1], run[1:])  # the run of node i + 1
+    lo = np.concatenate(([0], np.flatnonzero(np.diff(own)) + 1))
+    hi = np.append(lo[1:], own.size)
+    w = np.gcd(np.gcd.reduceat(m, lo), N[lo])  # segments lo ... hi of each piece
+    dist = 2.0 * (drift + 2.0 * ULP * max(map(abs, f.span()))) * float(np.sum(np.abs(v)))
+    return u, dist, N, lo, hi, w
+
+
+def _tv(a: np.ndarray) -> float:
+    """Certified total variation of the piecewise-linear function with node
+    values ``a`` (zero outside): a difference and its modulus (3), the sum."""
+    return cu_from_float_sum(float(np.sum(np.abs(np.diff(a)))), a.size + 1).value
+
+
+def _split_plan(a: PLFunction, span_b: float, tv_b: float, sv_b: float, tol: float):
+    """`convolve`'s banded plan for ``a``: the node cost and the plan, or ``None``.
+
+    Piece ``j`` (`_lattice_pieces`) is resampled on its own lattice, at a
+    step ``h_j = u H_j`` with ``H_j = w_j / 2**k``, so its resampling is
+    exact but for rounding.  Its product with ``b`` costs about ``K_j / h_j``
+    nodes, ``K_j`` its span plus ``b``'s, and the slack that depends on the
+    step is about ``h_j**2 D_j / 4``, ``D_j = tv_j tv_b + sv_b m_j``
+    (`convolve`), from the piece's float variation and hat mass.  The steps
+    are `_band_steps` of ``tol / 2``, capped at ``b``'s span and rounded
+    down to the form ``w_j / 2**k``; then the budget the rounding left
+    doubles steps, the bands of most nodes first, while it lasts.  Nothing
+    here is certified: `convolve` takes the slack at the steps used.
+    """
+    lat = _lattice_pieces(a)
+    if lat is None:
+        return None
+    u, dist, N, lo, hi, w = lat
+    v = np.abs(a.values)
+    hats = np.concatenate(([0.0], v[1:-1] * (N[2:] - N[:-2]), [0.0]))  # 2 / u times each hat's mass
+    mass = 0.5 * u * np.add.reduceat(hats[1:], lo)
+    inner = np.append(np.abs(np.diff(a.values[1:-1])), 0.0)  # node i + 1 to i + 2
+    tv = v[lo + 1] + v[hi] + np.add.reduceat(inner, lo) - inner[hi - 1]
+    K = u * (N[hi + 1] - N[lo]) + span_b
+    D = tv * tv_b + sv_b * mass
+    t = np.minimum(_band_steps(K, D / (4.0 * K), tol / 2.0), span_b)
+    r = np.minimum(t / (w * u), 1.0)
+    H = np.where(r > 0.0, w * np.ldexp(1.0, np.frexp(r)[1] - 1), 0.0)
+    # the budget that rounding down left: double the steps of the most nodes first
+    spare = tol / 2.0 - float(np.sum((u * H) ** 2 * D)) / 4.0
+    for j in np.argsort(H / K):
+        if 0.0 < H[j] < w[j] and 2.0 * u * H[j] <= span_b and 0.75 * (u * H[j]) ** 2 * D[j] <= spare:
+            spare -= 0.75 * (u * H[j]) ** 2 * D[j]
+            H[j] *= 2.0
+    with np.errstate(divide="ignore"):
+        cost = float(np.sum(K / (u * H)))
+    return cost, (u, dist, N, lo, hi, H)
+
+
 def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
     """Convolution with certified L1 error at most ``tol`` plus slack terms.
 
-    Let ``F``, ``G`` be the true inputs, within ``s_f``, ``s_g`` (the
-    ``l1_slack``) of ``f``, ``g``, and ``fh``, ``gh`` the resampled inputs,
-    within ``e_f``, ``e_g`` of ``f``, ``g`` (`_resample_uniform`).  The result's
-    slack is the sum of three terms:
+    One input, ``a``, is split into bands, the other, ``b``, is resampled
+    once per band step, and each band's product is one FFT convolution
+    smoothed by the hat-times-hat stencil; the band outputs are summed on
+    the union of their grids.  Three plans are costed and the one with the
+    fewest nodes runs: no split (``a = f`` resampled at one step ``h``), or
+    ``f`` or ``g`` split into its lattice pieces (`_split_plan`), each on its
+    own step.  A uniform or non-nested input is the one-band case.
 
-    - the interpolation of the exact (piecewise-cubic) ``fh * gh`` by its
-      node values, ``h**2 / 4`` times the variation of its derivative, at
-      most ``tv_f tv_g`` (times a margin of 1.01);
-    - the FFT rounding of the node values, `_fast_conv`'s bound per node,
-      times ``h`` for the stencil and ``h`` per segment;
-    - the cross term ``cu_cross(s_f + e_f, mf + e_f, s_g + e_g, mg + e_g)``,
-      ``mf``, ``mg`` the inputs' certified masses without slack: with ``D_f
-      = F - fh``, ``F * G - fh * gh = D_f * gh + fh * D_g + D_f * D_g``,
-      ``||D_f|| <= s_f + e_f`` and ``||fh|| <= ||f|| + e_f <= mf + e_f``, so
-      ``s_f s_g`` is counted once.
+    Let ``A``, ``B`` be the true inputs, within ``s_a``, ``s_b`` (the
+    ``l1_slack``) of ``a``, ``b``; ``a = sum_j a_j`` (within ``dist`` on the
+    lattice); ``a_jh``, ``b_jh`` the resampled band and other input, within
+    ``e_aj``, ``e_bj`` of ``a_j``, ``b`` (`_resample_uniform`; a lattice
+    piece resamples exactly, so ``e_aj`` is its rounding).  Then ``A * B -
+    sum_j out_j = D_a * B + sum_j [a_j * (B - b_jh) + (a_j - a_jh) * b_jh +
+    (a_jh * b_jh - out_j)]``, and the slack is the sum of:
 
-    With ``x = h**2 / 4`` the interpolation term and the resampling's share
-    of the cross term add up to ``x denom + 3 x**2 sv_f sv_g``: ``denom``
-    holds ``1.01 tv_f tv_g`` and the first order ``sv_f ng + sv_g nf``, and
-    ``e_f e_g`` comes out of three of the cross term's products (the
-    resampling terms that carry input slack, ``e_f s_g + e_g s_f``, are left
-    out).  The spacing solves ``x denom + 3 x**2 sv_f sv_g = tol / 2``:
-    ``h**2 = tol / root``, ``root = denom / 4 + sqrt(denom**2 / 16 + 3 sv_f
-    sv_g tol / 8)``, a form free of cancellation.  ``h`` is capped at the
-    shorter input's span, and where ``root`` underflows (inputs with values
-    below about 1e-162) the cap is taken without dividing.
+    - ``(s_a + dist) ||B||``, ``||B|| <= mb + s_b``, ``mb`` the certified
+      mass of ``b``'s body;
+    - per band, ``cu_cross(e_aj, m_j, s_b + e_bj, mb)``, which holds
+      ``m_j (s_b + e_bj) + e_aj (mb + e_bj)``, ``m_j`` the band's mass;
+    - per band, the interpolation of the exact (piecewise-cubic) ``a_jh *
+      b_jh`` by its node values: ``h**2 / 4`` times the variation of its
+      derivative, at most the product of the resampled arrays' total
+      variations (`_tv`), a float product of 3 roundings;
+    - per band, the FFT rounding of the node values, `_fast_conv`'s bound
+      per node, times ``h`` for the stencil and ``h`` per segment;
+    - per band, the rounding of ``h * np.convolve(w, stencil)``: the
+      stencil's two constants (1 each), its products (1) and two additions
+      (2) and the product by ``h`` (1) put a node within ``5 sqrt(2) u`` of
+      ``h`` times ``sum |w_k|`` weighted 1/6, 2/3, 1/6, and those weights sum
+      to 1 per ``w_k``: ``4 ULP h**2 sum|w|`` in L1;
+    - with several bands, the rounding of their sum on the union grid, as
+      in `_node_values`.
+
+    The steps aim the terms that depend on them at ``tol / 2``; the slack is
+    taken at the steps used.  Without a split, ``x = h**2 / 4`` gives ``x
+    denom + x**2 sv_f sv_g`` with ``denom = tv_f tv_g + sv_f ng + sv_g
+    mf``, and ``h**2 = tol / root``, ``root = denom / 4 + sqrt(denom**2 / 16
+    + sv_f sv_g tol / 8)``, a form free of cancellation, capped at the
+    shorter input's span (taken without dividing where ``root`` underflows,
+    inputs with values below about 1e-162).  Split plans take `_band_steps`
+    (`_split_plan`).  Band grids are padded with zeros to multiples of the
+    coarsest step, so the union nests and transforms take chirp-Z per width.
     """
     if not tol > 0.0:
         raise InvalidInput("tol must be positive")
@@ -375,31 +481,104 @@ def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
         return PLFunction(np.array([0.0, 1.0]), np.zeros(2, dtype=complex), slack)
 
     (tv_f, sv_f), (tv_g, sv_g) = _variations(f), _variations(g)
-    denom = _up(1.01 * (tv_f * tv_g + sv_f * ng.value + sv_g * nf.value))
-    root = denom / 4.0 + math.hypot(denom / 4.0, math.sqrt(3.0 * sv_f * sv_g * tol / 8.0))
     span_f, span_g = f.span()[1] - f.span()[0], g.span()[1] - g.span()[0]
+    denom = _up(tv_f * tv_g + sv_f * ng.value + sv_g * mf.value)
+    root = denom / 4.0 + math.hypot(denom / 4.0, math.sqrt(sv_f * sv_g * tol / 8.0))
     cap = min(span_f, span_g)
     h = cap if root * cap * cap <= tol else math.sqrt(tol / root)
-    if span_f + span_g > _NODE_CAP * h:  # h underflows to 0 at a subnormal tol
+    plans = [(span_f + span_g) / h if h > 0.0 else math.inf, None]
+    for a, b, tv_b, sv_b, span_b in ((f, g, tv_g, sv_g, span_g), (g, f, tv_f, sv_f, span_f)):
+        plan = _split_plan(a, span_b, tv_b, sv_b, tol)
+        if plan is not None and plan[0] < plans[0]:
+            plans = [plan[0], (a, b, sv_b) + plan[1]]
+    if plans[0] > _NODE_CAP:  # h underflows to 0 at a subnormal tol
         raise ToleranceUnreachable("tolerance unreachable")
 
-    fh, e_f = _resample_uniform(f, h, sv_f)
-    gh, e_g = _resample_uniform(g, h, sv_g)
-    w, node_err = _fast_conv(fh, gh, fh.size + gh.size - 1)
-    stencil = np.array([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0])
-    nodes = h * np.convolve(w, stencil)
-    nodes[0] = 0.0
-    nodes[-1] = 0.0
-    # the stencil convolution prepends one node at base - h (exactly zero
-    # there since boundary values vanish)
-    base = f.span()[0] + g.span()[0]
-    bp = (base - h) + h * np.arange(nodes.size)
+    if plans[1] is None:  # one band: f resampled at h
+        a, b, sv_b, scale, dist = f, g, sv_g, h, 0.0
+        fh, e_f = _resample_uniform(f, h, sv_f)
+        bands = [(0.0, 1.0, fh, e_f, mf)]
+    else:
+        a, b, sv_b, scale, dist, N, lo, hi, H = plans[1]
+        v, bands = a.values, []
+        for step in np.unique(H):  # the pieces of one step share one FFT
+            idx = np.flatnonzero(H == step)
+            start = N[lo[idx[0]]]
+            vals = np.zeros(int((N[hi[idx[-1]] + 1] - start) / step) + 1, dtype=complex)
+            rounding, hats = 0.0, 0.0
+            for j in idx:
+                Nj, vj = N[lo[j] : hi[j] + 2], v[lo[j] : hi[j] + 2].copy()
+                vj[[0, -1]] = 0.0
+                xs = Nj[0] + step * np.arange(int((Nj[-1] - Nj[0]) / step) + 1)
+                k = int((Nj[0] - start) / step)
+                vals[k : k + xs.size] += np.interp(xs, Nj, vj.real) + 1j * np.interp(xs, Nj, vj.imag)
+                rounding += float(np.max(np.abs(vj))) * scale * float(Nj[-1] - Nj[0])
+                hats += float(np.sum(np.abs(vj[1:-1]) * (Nj[2:] - Nj[:-2])))
+            # the rounding as in `_node_values`, with one addition per overlap;
+            # the mass of the hats: |v| 2, the length and the sum 1 each, 0.5 u 1
+            e_a = cu_mul(cu_from_float_sum(rounding, idx.size + 4), cu(9 * ULP))
+            mass = cu_from_float_sum(0.5 * scale * hats, N.size + 5)
+            bands.append((float(start), float(step), vals, e_a, mass))
 
-    interp = _up(0.25 * h * h * _up(1.01 * tv_f * tv_g))
-    fft_l1 = _up(nodes.size * h * h * node_err)
-    sf, sg = cu_add(f.l1_slack, e_f), cu_add(g.l1_slack, e_g)
-    cross = cu_cross(sf, cu_add(mf, e_f), sg, cu_add(mg, e_g))
-    return PLFunction(bp, nodes, cu_add(cross, cu(_up(interp + fft_l1))))
+    sa, sb, mb = a.l1_slack, b.l1_slack, (mg if a is f else mf)
+    slack = cu_mul(cu_add(sa, cu(_up(dist))), cu_add(mb, sb))
+    stencil = np.array([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0])
+    outs, resampled = [], {}
+    for start, step, ah, e_a, m_a in bands:
+        hj = scale * step
+        if hj not in resampled:
+            resampled[hj] = _resample_uniform(b, hj, sv_b)
+        bh, e_b = resampled[hj]
+        w, node_err = _fast_conv(ah, bh, ah.size + bh.size - 1)
+        nodes = hj * np.convolve(w, stencil)
+        # the stencil convolution prepends one node at base - h (exactly zero
+        # there since boundary values vanish)
+        nodes[0] = 0.0
+        nodes[-1] = 0.0
+        interp = cu_from_float_sum(0.25 * hj * hj * _tv(ah) * _tv(bh), 3)
+        fft_l1 = cu(_up(nodes.size * hj * hj * node_err))
+        round_l1 = cu_from_float_sum(4.0 * ULP * hj * hj * float(np.sum(np.abs(w))), w.size + 6)
+        cross = cu_cross(e_a, m_a, cu_add(sb, e_b), mb)
+        slack = cu_add(slack, cu_add(cu_add(cross, interp), cu_add(fft_l1, round_l1)))
+        outs.append((start - step, step, nodes))
+
+    base = a.span()[0] + b.span()[0]
+    if len(outs) == 1:
+        lo, step, nodes = outs[0]
+        coords = lo + step * np.arange(nodes.size)
+    else:
+        coords, nodes, rounding = _band_union(outs, scale)
+        slack = cu_add(slack, rounding)
+    return PLFunction(base + scale * coords, nodes, slack)
+
+
+def _band_union(outs, scale: float):
+    """The sum of the band outputs ``(lo, step, nodes)`` on the union of their grids.
+
+    Each grid is padded with zeros to multiples of the coarsest step; the
+    steps are ``w / 2**k`` of nested lattice steps, so every grid is a
+    sub-lattice of the finest and each padded end lies on every coarser
+    grid: the union nests.  A band's values are read at the union nodes in
+    its range (``np.interp``, exact at its own nodes); the rounding is that
+    of `_node_values`, ``max |nodes|`` times the band's span (``scale``
+    times its coordinate span) per band.
+    """
+    top = max(step for _, step, _ in outs)
+    grids = []
+    for lo, step, nodes in outs:
+        a = math.floor(lo / top) * top
+        b = math.ceil((lo + step * (nodes.size - 1)) / top) * top
+        left, right = int((lo - a) / step), int((b - lo) / step) - (nodes.size - 1)
+        grids.append((a + step * np.arange(left + nodes.size + right),
+                      np.concatenate((np.zeros(left), nodes, np.zeros(right)))))
+    coords = np.unique(np.concatenate([x for x, _ in grids]))
+    vals = np.zeros(coords.size, dtype=complex)
+    total = 0.0
+    for x, v in grids:
+        i, j = np.searchsorted(coords, (x[0], x[-1]))
+        vals[i : j + 1] += np.interp(coords[i : j + 1], x, v.real) + 1j * np.interp(coords[i : j + 1], x, v.imag)
+        total += float(np.max(np.abs(v))) * scale * float(x[-1] - x[0])
+    return coords, vals, cu_mul(cu_from_float_sum(total, len(outs) + 3), cu(9 * ULP))
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +632,16 @@ def _closed_form(f: PLFunction, ps: np.ndarray) -> np.ndarray:
     return out
 
 
+def _units(bp: np.ndarray):
+    """Segment lengths ``m`` in units ``u`` of the shortest, rounded to
+    integers (clipped at ``2**32``, so no count overflows), and the lattice
+    indices ``N`` of the breakpoints, ``bp`` read as ``bp[0] + u N``."""
+    d = np.diff(bp)
+    m = np.rint(np.minimum(d / np.min(d), 2.0 ** 32)).astype(np.int64)
+    N = np.concatenate(([0], np.cumsum(m)))
+    return m, N, (float(bp[-1]) - float(bp[0])) / N[-1]
+
+
 def _hat_lattices(f: PLFunction, P: int) -> Tuple[list, float]:
     """The hats of ``f`` split onto one lattice per width, and their L1 distance from ``f``.
 
@@ -472,10 +661,7 @@ def _hat_lattices(f: PLFunction, P: int) -> Tuple[list, float]:
     then rejects them.
     """
     bp = f.breakpoints
-    q = np.diff(bp) / np.min(np.diff(bp))
-    m = np.rint(np.minimum(q, 2.0 ** 32)).astype(np.int64)  # segment lengths in units of u
-    N = np.concatenate(([0], np.cumsum(m)))
-    u = (float(bp[-1]) - float(bp[0])) / N[-1]
+    m, N, u = _units(bp)
     g = np.minimum(m[:-1], m[1:])  # the width of each interior node's hats
     kl, kr = m[:-1] // g, m[1:] // g
     widths, first, grp = np.unique(g, return_index=True, return_inverse=True)
@@ -717,8 +903,9 @@ def fejer_kernel(lam: float, support_tol: float) -> PLFunction:
     edges = np.ldexp(1.0, np.arange(math.frexp(4.0 / lam)[1] - 2, math.frexp(X)[1] + 1))
     edges = np.minimum(edges, X)
     edges[0] = 0.0
-    L, c3 = np.diff(edges), np.cbrt(_fejer_curvature(lam, edges[:-1]))
-    t = 2.0 * math.sqrt(support_tol / float(np.sum(L * c3))) / c3
+    L = np.diff(edges)
+    # ¼ h_j² L_j c_j <= b_j: h_j² L_j c_j within 4 support_tol in all
+    t = _band_steps(L, _fejer_curvature(lam, edges[:-1]), 4.0 * support_tol)
     h = np.ldexp(1.0, np.frexp(t)[1] - 1)
     k = np.ceil(L / h).astype(int)
     X = edges[-2] + k[-1] * h[-1]

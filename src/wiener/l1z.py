@@ -71,6 +71,14 @@ class L1ZSeq:
             object.__setattr__(self, "blocks", _merge(_runs(self.blocks)))
 
     @cached_property
+    def _abs_sum(self) -> float:
+        """Float sum of the moduli, summed once per element (`fold`); an
+        overflow gives ``inf`` without a warning."""
+        c = np.concatenate([x for _, x in self.blocks] or [np.zeros(0, dtype=complex)])
+        with np.errstate(over="ignore"):
+            return float(np.sum(np.abs(c)))
+
+    @cached_property
     def coeffs(self) -> Mapping[int, complex]:
         """Read-only map of the nonzero coefficients, by increasing index."""
         return MappingProxyType({n: c for n, c in zip(_indices(self), _values(self)) if c})
@@ -382,9 +390,7 @@ def fold(a: L1ZSeq, n: int) -> Tuple[np.ndarray, float]:
     x.real = np.bincount(j, weights=c.real, minlength=n)
     x.imag = np.bincount(j, weights=c.imag, minlength=n)
     lo, hi = a.support()
-    with np.errstate(over="ignore"):
-        mass = float(np.sum(np.abs(c)))
-    return x, (-((lo - hi - 1) // n) - 1) * ULP * mass
+    return x, (-((lo - hi - 1) // n) - 1) * ULP * a._abs_sum
 
 
 # ---------------------------------------------------------------------------

@@ -762,6 +762,40 @@ def test_fejer_triangle_oracle_matches_quadrature():
     assert abs(dist - mpmath.mpf("0.0701432583218")) <= mpmath.mpf("1e-12")
 
 
+def test_banded_convolve_against_exact_fejer_triangle_distance(monkeypatch):
+    # At lam = 0.5 and 1 the smoothing kernel splits into bands, each on its
+    # own step.  The oracle's premise, one sign change of K_lam * tri - tri on
+    # [0, 1], is checked against 128-bit quadrature first; then the certified
+    # distance brackets the exact one as in criterion 10.
+    tri = triangle()
+    calls = []
+    fast_conv = l1r._fast_conv
+
+    def counting(*args):
+        calls.append(args[2])
+        return fast_conv(*args)
+
+    monkeypatch.setattr(l1r, "_fast_conv", counting)
+    for lam in (0.5, 1.0):
+        xs = [mpmath.mpf(k) / 8 for k in range(9)]
+        diffs = []
+        for x in xs:
+            cuts = [x + 2 * mpmath.pi * k / lam for k in range(-1, 2)]
+            nodes = sorted({mpmath.mpf(-1), mpmath.mpf(0), mpmath.mpf(1)}
+                           | {c for c in cuts if -1 < c < 1})
+            quad = mpmath.quad(lambda y: (1 - abs(y)) * mp_fejer(lam, x - y), nodes)
+            assert abs(quad - mp_fejer_triangle(lam, x)) <= mpmath.mpf("1e-20")
+            diffs.append(quad - (1 - x))
+        assert sum(a * b < 0 for a, b in zip(diffs, diffs[1:])) == 1, lam
+        assert diffs[0] < 0 < diffs[-1], lam
+        calls.clear()
+        smooth = l1r.convolve(l1r.fejer_kernel(lam, 1e-3), tri, 1e-3)
+        assert len(calls) > 1, lam  # one FFT per band step
+        exact = mp_fejer_triangle_distance(lam)
+        cert = l1r.norm_l1(l1r.sub_fn(smooth, tri)).value
+        assert exact <= cert <= exact + 2 * smooth.l1_slack.value, lam
+
+
 def test_fejer_rejects_bad_params():
     with pytest.raises(InvalidInput):
         l1r.fejer_kernel(0.0, 1e-3)

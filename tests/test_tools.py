@@ -41,3 +41,20 @@ def test_count_takes_each_line_of_a_multiline_string():
     count = _src_lines().count
     assert count('s = """a\nb\nc"""\n') == (3, 3)
     assert count('def f():\n    """Doc."""\n    return """a\nb"""\n') == (4, 3)
+
+
+def test_product_sizes_runs_both_pipelines():
+    path = _PATH.parent / "product_sizes.py"
+    spec = importlib.util.spec_from_file_location("product_sizes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    from wiener import l1r
+
+    convolve, lines = l1r.convolve, []
+    rows = module.run(l1r, lines.append)
+    assert l1r.convolve is convolve  # nothing left wrapped
+    assert set(rows) == {"criterion_09", "line_divide"} and len(lines) == 10
+    # three products each; the smoothing product is split into bands
+    for calls in rows.values():
+        assert len(calls) == 3 and all(nodes > 2 for _, _, _, nodes, _, _ in calls)
+        assert calls[0][2] > 1
