@@ -14,6 +14,7 @@ below one *is* the proof of invertibility via the geometric series.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -92,6 +93,11 @@ def perturb_invert_bound(M: CertUpper, u_norm: CertUpper, c: float) -> CertUpper
     return cu_div(M, 1.0 - c)
 
 
+#: each element's live sampler, by ``id``: a sampler holds its element, so
+#: the id is not reused while the entry lives, and the entry goes with it
+_SAMPLERS = weakref.WeakValueDictionary()
+
+
 def _circle_sampler(f: L1ZSeq):
     """``certify_min_modulus`` sampler of ``f`` on the n-th roots of unity ``w^k``.
 
@@ -99,41 +105,45 @@ def _circle_sampler(f: L1ZSeq):
     one FFT of the folded array; ``point(k)`` is ``w^k``, and every point of
     the circle is within an arc ``pi / n`` of one.  ``err`` is the tail plus
     the fold's and the FFT's rounding bounds.  `wiener_invert` reads the
-    inverse off the reciprocal of the same values.  The sampler keeps its
-    last grid, so a read-off at the certified ``n`` takes no second fold or
-    FFT.
+    inverse off the reciprocal of the same values.  While a sampler of
+    ``f`` lives this returns it, and it keeps its last grid: the certifier
+    called inside `wiener_invert` samples with that call's sampler, so a
+    read-off at the certified ``n`` takes no second fold or FFT.
     """
+    sample = _SAMPLERS.get(id(f))
+    if sample is not None:
+        return sample
     last = {}
 
     def sample(n: int):
-        if n not in last:
+        grid = last.get(n)
+        if grid is None:
+            last.clear()  # before the new grid is built, so that two are not held
             x, fold = l1z.fold(f, n)
             err = _up(f.tail.value + fold + certs.fft_roundoff(n, math.sqrt(np.vdot(x, x).real)))
             values = np.fft.ifft(x, norm="forward")  # unscaled: sum_j x_j w^(jk)
-            last.clear()
-            last[n] = (lambda k: np.exp((2j * math.pi / n) * k), values, err, math.pi / n)
-        return last[n]
+            grid = last[n] = (lambda k: np.exp((2j * math.pi / n) * k), values, err, math.pi / n)
+        return grid
 
+    _SAMPLERS[id(f)] = sample
     return sample
 
 
 def circle_min_modulus_certify(
-    f: L1ZSeq, eps: float, N: int, sample=None
+    f: L1ZSeq, eps: float, N: int
 ) -> Tuple[bool, Dict[str, object]]:
     """Try to prove ``|f(lam)| >= eps`` on the whole unit circle.
 
     Grid plus Lipschitz (``certify_min_modulus``) on roots of unity, the
     grid doubling from ``N`` up to ``_GRID_CAP``; a larger ``N`` is invalid
     input.  ``True`` is a proof; ``False`` comes with the last grid's report.
-    ``sample`` is ``f``'s `_circle_sampler` when the caller samples ``f``
-    again (`wiener_invert`), otherwise a new one.
     """
     if not 8 <= N <= _GRID_CAP:
         raise InvalidInput("grid size must lie in [8, %d]" % _GRID_CAP)
     if not eps > 0.0:
         raise InvalidInput("eps must be positive")
     L = l1z.circle_lipschitz_upper(L1ZSeq(f.blocks)).value
-    report = certs.certify_min_modulus(sample or _circle_sampler(f), L, eps, N, _GRID_CAP)
+    report = certs.certify_min_modulus(_circle_sampler(f), L, eps, N, _GRID_CAP)
     return report["ok"], report
 
 
@@ -173,8 +183,8 @@ def wiener_invert(f: L1ZSeq, eps: float, target: float) -> Tuple[L1ZSeq, Inversi
     """
     if not target > 0.0:
         raise InvalidInput("target must be positive")
-    sample = _circle_sampler(f)
-    ok, report = circle_min_modulus_certify(f, eps, 64, sample)
+    sample = _circle_sampler(f)  # live through the call, so the certifier shares it
+    ok, report = circle_min_modulus_certify(f, eps, 64)
     if not ok:
         raise HypothesisFailure(
             "hypothesis fails: no certified minimum modulus on the circle",

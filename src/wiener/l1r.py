@@ -20,13 +20,14 @@ Convolution strategy: one input is split into bands and the other is
 resampled at each band's step; each band's product is one FFT convolution
 of node values smoothed with the hat-times-hat stencil ``[1/6, 2/3,
 1/6]``, and the band outputs are summed on the union of their grids
-(`convolve`).  The bands are the pieces of a lattice input, one per run of
-equal steps, each resampled exactly on its own lattice at ``w / 2**k`` of
-its step (`_lattice_pieces`); the steps come from the node-minimising
-budget split that `fejer_kernel` uses too (`_band_steps`), and the plan
-with the fewest nodes runs.  A uniform or non-nested input, or a split
-that would not cut the node count, is the one-band case, resampled at one
-step ``h`` with error ``h**2 sv_f / 4`` (``sv_f`` the kink mass).  The
+(`convolve`).  The bands of a lattice input are its hat lattices, the
+ones the chirp-Z transform reads, one per width ``w``, each refined
+exactly to a step ``w / 2**k`` (`_split_plan`); the steps come from the
+node-minimising budget split that `fejer_kernel` uses too
+(`_band_steps`), and the plan with the fewest nodes runs.  A uniform
+input is one band.  An input whose lattices do not nest, or a split that
+would not cut the node count, is resampled whole at one step ``h`` with
+error ``h**2 sv_f / 4`` (``sv_f`` the kink mass).  The
 slack adds the inputs' slack through the product, per band the cross
 term of its resampling, the interpolation of the piecewise-cubic product
 (``h**2 / 4`` times the resampled arrays' total variations), the FFT and
@@ -351,35 +352,6 @@ def _band_steps(L: np.ndarray, q: np.ndarray, budget: float) -> np.ndarray:
         return np.sqrt(budget / np.sum(L * c3)) / c3
 
 
-def _lattice_pieces(f: PLFunction):
-    """``f`` on one lattice, split into pieces of one step each, or ``None``.
-
-    The breakpoints are read as ``bp[0] + u N_i`` (`_units`).  ``drift``, the
-    largest distance of a breakpoint from its lattice point, moves each edge
-    of a node's hat by at most that, so the function on the lattice is
-    within ``dist = 2 drift sum|v|`` of ``f`` (with the float lattice's own
-    rounding, as in `_hat_lattices`); above a relative 1e-9, ``f`` is not a
-    lattice.  Each interior node's hat goes to the run of equal segments
-    holding its shorter segment, and the nodes of one run make one piece:
-    ``f`` on nodes ``lo + 1 ... hi``, zero at ``lo`` and ``hi + 1``.  The
-    pieces sum to ``f`` on the lattice exactly.  A piece's step ``w`` (in
-    units) is the gcd of its segments and of its left end, so every node of
-    it lies on ``w Z``.  Returns ``(u, dist, N, lo, hi, w)``.
-    """
-    bp, v = f.breakpoints, f.values
-    m, N, u = _units(bp)
-    drift = float(np.max(np.abs(bp - (bp[0] + u * N))))
-    if not drift <= 1e-9 * u or m.size < 2:
-        return None
-    run = np.concatenate(([0], np.cumsum(m[1:] != m[:-1])))
-    own = np.where(m[:-1] <= m[1:], run[:-1], run[1:])  # the run of node i + 1
-    lo = np.concatenate(([0], np.flatnonzero(np.diff(own)) + 1))
-    hi = np.append(lo[1:], own.size)
-    w = np.gcd(np.gcd.reduceat(m, lo), N[lo])  # segments lo ... hi of each piece
-    dist = 2.0 * (drift + 2.0 * ULP * max(map(abs, f.span()))) * float(np.sum(np.abs(v)))
-    return u, dist, N, lo, hi, w
-
-
 def _tv(a: np.ndarray) -> float:
     """Certified total variation of the piecewise-linear function with node
     values ``a`` (zero outside): a difference and its modulus (3), the sum."""
@@ -387,42 +359,51 @@ def _tv(a: np.ndarray) -> float:
 
 
 def _split_plan(a: PLFunction, span_b: float, tv_b: float, sv_b: float, tol: float):
-    """`convolve`'s banded plan for ``a``: the node cost and the plan, or ``None``.
+    """`convolve`'s banded plan for ``a``: the node cost and the bands, or ``None``.
 
-    Piece ``j`` (`_lattice_pieces`) is resampled on its own lattice, at a
-    step ``h_j = u H_j`` with ``H_j = w_j / 2**k``, so its resampling is
-    exact but for rounding.  Its product with ``b`` costs about ``K_j / h_j``
-    nodes, ``K_j`` its span plus ``b``'s, and the slack that depends on the
+    The bands are ``a``'s hat lattices (`_hat_lattices`), one per width:
+    band ``j`` is the uniform piecewise-linear function with node values
+    ``a_j`` (a zero appended) at ``u (s_j + w_j t)`` past ``a``'s left end,
+    and the bands sum to ``a`` within ``dist``.  The plan needs the lattices
+    to nest: every width a power of two and every ``s_j`` a multiple of
+    ``w_j``, so that the steps ``H_j = w_j / 2**k`` are powers of two on one
+    dyadic lattice and the band outputs' union nests (`_band_union`);
+    otherwise ``None``.  A band refines exactly to ``H_j``.  Its product
+    costs about ``K_j / h_j`` nodes, ``h_j = u H_j``, ``K_j`` the length of
+    its nonzero hats plus ``b``'s span, and the slack that depends on the
     step is about ``h_j**2 D_j / 4``, ``D_j = tv_j tv_b + sv_b m_j``
-    (`convolve`), from the piece's float variation and hat mass.  The steps
-    are `_band_steps` of ``tol / 2``, capped at ``b``'s span and rounded
-    down to the form ``w_j / 2**k``; then the budget the rounding left
-    doubles steps, the bands of most nodes first, while it lasts.  Nothing
-    here is certified: `convolve` takes the slack at the steps used.
+    (`convolve`), ``m_j`` the band's certified hat mass ``u w_j sum|a_j|``
+    (``|a_t|`` 2 roundings, the sum 1 each, the product 2).  The steps are
+    `_band_steps` of ``tol / 2``, capped at ``b``'s span and rounded down to
+    the form ``w_j / 2**k``; then the budget the rounding left doubles
+    steps, the bands of most nodes first, while it lasts.  `convolve` takes
+    the slack at the steps used.
     """
-    lat = _lattice_pieces(a)
-    if lat is None:
+    lattices, u, dist = _hat_lattices(a)
+    if not lattices:
         return None
-    u, dist, N, lo, hi, w = lat
-    v = np.abs(a.values)
-    hats = np.concatenate(([0.0], v[1:-1] * (N[2:] - N[:-2]), [0.0]))  # 2 / u times each hat's mass
-    mass = 0.5 * u * np.add.reduceat(hats[1:], lo)
-    inner = np.append(np.abs(np.diff(a.values[1:-1])), 0.0)  # node i + 1 to i + 2
-    tv = v[lo + 1] + v[hi] + np.add.reduceat(inner, lo) - inner[hi - 1]
-    K = u * (N[hi + 1] - N[lo]) + span_b
+    arrays, start, width = zip(*lattices)
+    start, width = np.array(start), np.array(width)
+    if np.any(width & (width - 1)) or np.any(start % width):
+        return None
+    flat = np.concatenate(arrays + (np.zeros(1),))  # each lattice starts at 0
+    base = np.cumsum([0] + [x.size for x in arrays[:-1]])
+    mass = u * width * np.add.reduceat(np.abs(flat[:-1]), base)
+    tv = np.add.reduceat(np.abs(np.diff(flat)), base)  # each with its closing zero
+    K = u * width * np.add.reduceat(flat[:-1] != 0.0, base) + span_b
     D = tv * tv_b + sv_b * mass
     t = np.minimum(_band_steps(K, D / (4.0 * K), tol / 2.0), span_b)
-    r = np.minimum(t / (w * u), 1.0)
-    H = np.where(r > 0.0, w * np.ldexp(1.0, np.frexp(r)[1] - 1), 0.0)
+    r = np.minimum(t / (width * u), 1.0)
+    H = np.where(r > 0.0, width * np.ldexp(1.0, np.frexp(r)[1] - 1), 0.0)
     # the budget that rounding down left: double the steps of the most nodes first
     spare = tol / 2.0 - float(np.sum((u * H) ** 2 * D)) / 4.0
     for j in np.argsort(H / K):
-        if 0.0 < H[j] < w[j] and 2.0 * u * H[j] <= span_b and 0.75 * (u * H[j]) ** 2 * D[j] <= spare:
+        if 0.0 < H[j] < width[j] and 2.0 * u * H[j] <= span_b and 0.75 * (u * H[j]) ** 2 * D[j] <= spare:
             spare -= 0.75 * (u * H[j]) ** 2 * D[j]
             H[j] *= 2.0
     with np.errstate(divide="ignore"):
         cost = float(np.sum(K / (u * H)))
-    return cost, (u, dist, N, lo, hi, H)
+    return cost, (u, dist, arrays, start, width, H, mass)
 
 
 def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
@@ -433,14 +414,18 @@ def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
     smoothed by the hat-times-hat stencil; the band outputs are summed on
     the union of their grids.  Three plans are costed and the one with the
     fewest nodes runs: no split (``a = f`` resampled at one step ``h``), or
-    ``f`` or ``g`` split into its lattice pieces (`_split_plan`), each on its
-    own step.  A uniform or non-nested input is the one-band case.
+    ``f`` or ``g`` split into its hat lattices, one band per width, each
+    refined exactly to its own step (`_split_plan`).  A uniform input splits
+    into one band; an input off one lattice, or whose lattices do not nest,
+    takes the no-split plan.  A split costs at least ``span_b / u`` nodes
+    (its band of width ``u``, ``a``'s shortest segment) plus one per nonzero
+    value of ``a``, and is costed only when that is below the plan in hand.
 
     Let ``A``, ``B`` be the true inputs, within ``s_a``, ``s_b`` (the
     ``l1_slack``) of ``a``, ``b``; ``a = sum_j a_j`` (within ``dist`` on the
     lattice); ``a_jh``, ``b_jh`` the resampled band and other input, within
-    ``e_aj``, ``e_bj`` of ``a_j``, ``b`` (`_resample_uniform`; a lattice
-    piece resamples exactly, so ``e_aj`` is its rounding).  Then ``A * B -
+    ``e_aj``, ``e_bj`` of ``a_j``, ``b`` (`_resample_uniform`; a band
+    refines exactly, so ``e_aj`` is its rounding).  Then ``A * B -
     sum_j out_j = D_a * B + sum_j [a_j * (B - b_jh) + (a_j - a_jh) * b_jh +
     (a_jh * b_jh - out_j)]``, and the slack is the sum of:
 
@@ -470,7 +455,8 @@ def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
     shorter input's span (taken without dividing where ``root`` underflows,
     inputs with values below about 1e-162).  Split plans take `_band_steps`
     (`_split_plan`).  Band grids are padded with zeros to multiples of the
-    coarsest step, so the union nests and transforms take chirp-Z per width.
+    coarsest step, so the union nests and transforms take chirp-Z per width
+    (`_band_union`).
     """
     if not tol > 0.0:
         raise InvalidInput("tol must be positive")
@@ -488,7 +474,9 @@ def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
     h = cap if root * cap * cap <= tol else math.sqrt(tol / root)
     plans = [(span_f + span_g) / h if h > 0.0 else math.inf, None]
     for a, b, tv_b, sv_b, span_b in ((f, g, tv_g, sv_g, span_g), (g, f, tv_f, sv_f, span_f)):
-        plan = _split_plan(a, span_b, tv_b, sv_b, tol)
+        # a split costs at least span_b / u plus a node per nonzero value (`_split_plan`)
+        least = span_b / float(np.min(np.diff(a.breakpoints))) + np.count_nonzero(a.values)
+        plan = _split_plan(a, span_b, tv_b, sv_b, tol) if least < plans[0] else None
         if plan is not None and plan[0] < plans[0]:
             plans = [plan[0], (a, b, sv_b) + plan[1]]
     if plans[0] > _NODE_CAP:  # h underflows to 0 at a subnormal tol
@@ -499,26 +487,24 @@ def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
         fh, e_f = _resample_uniform(f, h, sv_f)
         bands = [(0.0, 1.0, fh, e_f, mf)]
     else:
-        a, b, sv_b, scale, dist, N, lo, hi, H = plans[1]
-        v, bands = a.values, []
-        for step in np.unique(H):  # the pieces of one step share one FFT
+        a, b, sv_b, scale, dist, arrays, start, width, H, mass = plans[1]
+        bands = []
+        for step in np.unique(H):  # the bands of one step share one FFT
             idx = np.flatnonzero(H == step)
-            start = N[lo[idx[0]]]
-            vals = np.zeros(int((N[hi[idx[-1]] + 1] - start) / step) + 1, dtype=complex)
-            rounding, hats = 0.0, 0.0
-            for j in idx:
-                Nj, vj = N[lo[j] : hi[j] + 2], v[lo[j] : hi[j] + 2].copy()
-                vj[[0, -1]] = 0.0
-                xs = Nj[0] + step * np.arange(int((Nj[-1] - Nj[0]) / step) + 1)
-                k = int((Nj[0] - start) / step)
-                vals[k : k + xs.size] += np.interp(xs, Nj, vj.real) + 1j * np.interp(xs, Nj, vj.imag)
-                rounding += float(np.max(np.abs(vj))) * scale * float(Nj[-1] - Nj[0])
-                hats += float(np.sum(np.abs(vj[1:-1]) * (Nj[2:] - Nj[:-2])))
+            lo = int(np.min(start[idx]))
+            hi = max(int(start[j] + width[j] * arrays[j].size) for j in idx)
+            vals, rounding = np.zeros(int((hi - lo) / step) + 1, dtype=complex), 0.0
+            for j in idx:  # band j, its closing zero appended, refined exactly to step
+                x, k = np.append(arrays[j], 0.0), int(width[j] / step)
+                t, at = np.arange((x.size - 1) * k + 1) / k, np.arange(x.size)
+                o = int((start[j] - lo) / step)
+                vals[o : o + t.size] += np.interp(t, at, x.real) + 1j * np.interp(t, at, x.imag)
+                rounding += float(np.max(np.abs(x))) * scale * float(width[j] * (x.size - 1))
             # the rounding as in `_node_values`, with one addition per overlap;
-            # the mass of the hats: |v| 2, the length and the sum 1 each, 0.5 u 1
+            # the masses: |a_t| 2, the sums 1 each, the products by u w 2
             e_a = cu_mul(cu_from_float_sum(rounding, idx.size + 4), cu(9 * ULP))
-            mass = cu_from_float_sum(0.5 * scale * hats, N.size + 5)
-            bands.append((float(start), float(step), vals, e_a, mass))
+            m_a = cu_from_float_sum(float(np.sum(mass[idx])), sum(arrays[j].size for j in idx) + 4)
+            bands.append((float(lo), float(step), vals, e_a, m_a))
 
     sa, sb, mb = a.l1_slack, b.l1_slack, (mg if a is f else mf)
     slack = cu_mul(cu_add(sa, cu(_up(dist))), cu_add(mb, sb))
@@ -555,21 +541,22 @@ def convolve(f: PLFunction, g: PLFunction, tol: float) -> PLFunction:
 def _band_union(outs, scale: float):
     """The sum of the band outputs ``(lo, step, nodes)`` on the union of their grids.
 
-    Each grid is padded with zeros to multiples of the coarsest step; the
-    steps are ``w / 2**k`` of nested lattice steps, so every grid is a
-    sub-lattice of the finest and each padded end lies on every coarser
-    grid: the union nests.  A band's values are read at the union nodes in
-    its range (``np.interp``, exact at its own nodes); the rounding is that
-    of `_node_values`, ``max |nodes|`` times the band's span (``scale``
-    times its coordinate span) per band.
+    Each grid is padded with zeros along its own lattice out to multiples
+    of the coarsest step.  The steps are powers of two and each grid lies on
+    its step's multiples (`_split_plan`), so every grid is a sub-lattice of
+    the finest and each padded end lies on every coarser grid: the union
+    nests.  A band's values are read at the union nodes in its range
+    (``np.interp``, exact at its own nodes); the rounding is that of
+    `_node_values`, ``max |nodes|`` times the band's span (``scale`` times
+    its coordinate span) per band.
     """
     top = max(step for _, step, _ in outs)
     grids = []
     for lo, step, nodes in outs:
-        a = math.floor(lo / top) * top
-        b = math.ceil((lo + step * (nodes.size - 1)) / top) * top
-        left, right = int((lo - a) / step), int((b - lo) / step) - (nodes.size - 1)
-        grids.append((a + step * np.arange(left + nodes.size + right),
+        hi = lo + step * (nodes.size - 1)
+        left = math.ceil((lo - math.floor(lo / top) * top) / step)
+        right = math.ceil((math.ceil(hi / top) * top - hi) / step)
+        grids.append((lo + step * np.arange(-left, nodes.size + right),
                       np.concatenate((np.zeros(left), nodes, np.zeros(right)))))
     coords = np.unique(np.concatenate([x for x, _ in grids]))
     vals = np.zeros(coords.size, dtype=complex)
@@ -632,59 +619,65 @@ def _closed_form(f: PLFunction, ps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _units(bp: np.ndarray):
-    """Segment lengths ``m`` in units ``u`` of the shortest, rounded to
-    integers (clipped at ``2**32``, so no count overflows), and the lattice
-    indices ``N`` of the breakpoints, ``bp`` read as ``bp[0] + u N``."""
-    d = np.diff(bp)
-    m = np.rint(np.minimum(d / np.min(d), 2.0 ** 32)).astype(np.int64)
-    N = np.concatenate(([0], np.cumsum(m)))
-    return m, N, (float(bp[-1]) - float(bp[0])) / N[-1]
-
-
-def _hat_lattices(f: PLFunction, P: int) -> Tuple[list, float]:
+def _hat_lattices(f: PLFunction) -> Tuple[list, float, float]:
     """The hats of ``f`` split onto one lattice per width, and their L1 distance from ``f``.
 
-    Segment lengths are taken in units of the shortest, rounded to integers
-    ``m``; node ``i``'s hats have the width ``g`` of its shorter segment, and
-    ``kl``, ``kr`` of them fit its left and right segments (one of the two
-    is 1).  Each width's lattice ``x0 + w t`` runs from the left end of its
-    first hat to its last hat, zero-filled, ``n_w`` nodes.  ``drift`` is the
-    largest distance of a node's three points from the float points ``x0 +
-    w * s`` of its own lattice, so it catches a ratio that is not an integer
-    or a hat off its lattice as well as rounding; ``dist`` is ``2 drift
-    sum|v|`` with the float grid's own rounding, plus the split weights'
-    (`fourier_eval_many`).  Returns ``([], 0.0)`` when ``drift`` is above a
-    relative 1e-9, or when the lattices cost the chirp-Z sums more than the
-    closed form: ``P S <= _CZT_COST sum_w (n_w + P)``.  Segments of more
-    than ``2**32`` units are clipped, so that no count overflows; the drift
-    then rejects them.
+    Segment lengths are taken in units ``u`` of the shortest, rounded to
+    integers ``m``; node ``i``'s hats have the width ``g`` of its shorter
+    segment, and ``kl``, ``kr`` of them fit its left and right segments (one
+    of the two is 1).  Each width's lattice ``x0 + w t``, ``x0 = bp[0] + u
+    s`` and ``w = u g``, runs from the left end of its first hat to its last
+    hat, zero-filled, ``n_w`` nodes.  ``drift`` is the largest distance of a
+    node's three points from the float points ``x0 + w * s`` of its own
+    lattice, so it catches a ratio that is not an integer or a hat off its
+    lattice as well as rounding; ``dist`` is ``2 drift sum|v|`` with the
+    float grid's own rounding, plus the split weights'
+    (`fourier_eval_many`).  Returns ``([(a, s, g), ...], u, dist)``, ``s``
+    and ``g`` integers, or ``([], u, 0.0)`` when ``drift`` is above a
+    relative 1e-9.  Segments of more than ``2**32`` units are clipped, so
+    that no count overflows; the drift then rejects them.
     """
     bp = f.breakpoints
-    m, N, u = _units(bp)
-    g = np.minimum(m[:-1], m[1:])  # the width of each interior node's hats
-    kl, kr = m[:-1] // g, m[1:] // g
-    widths, first, grp = np.unique(g, return_index=True, return_inverse=True)
-    last = g.size - 1 - np.unique(g[::-1], return_index=True)[1]
-    start, stop = N[:-2][first], N[2:][last] - widths  # per width: first hat's left end, last hat
-    x0, w, size = bp[0] + u * start, u * widths, (stop - start) // widths + 1
-    s = (N[1:-1] - start[grp]) // g  # the lattice index of each node
-    xg, wg = x0[grp], w[grp]  # each node's lattice; its three points against it
-    drift = max(float(np.max(np.abs(bp[j : j + g.size] - (xg + wg * t))))
-                for j, t in enumerate((s - kl, s, s + kr)))
-    if not drift <= 1e-9 * u or P * (bp.size - 1) <= _CZT_COST * np.sum(size + P):
-        return [], 0.0
-    r = kl + kr - 1  # the larger of the two: hats toward the longer segment
-    node = np.repeat(np.arange(g.size), r)
-    k = np.arange(node.size) - np.repeat(np.cumsum(r) - kr, r)
-    coef = f.values[1:-1][node] * ((r[node] - np.abs(k)) / r[node])
-    base = np.cumsum(size) - size
-    lat = np.zeros(size.sum(), dtype=complex)
-    np.add.at(lat, base[grp[node]] + s[node] + k, coef)
+    d = np.diff(bp)
+    m = np.rint(np.minimum(d / np.min(d), 2.0 ** 32)).astype(np.int64)  # segment lengths in units of u
+    N = np.concatenate(([0], np.cumsum(m)))
+    u = (float(bp[-1]) - float(bp[0])) / N[-1]
+    if np.all(m == 1):  # a uniform grid: one lattice, the node values (-0.0 to 0.0, as below)
+        drift = float(np.max(np.abs(bp - (bp[0] + u * np.arange(bp.size)))))
+        if not drift <= 1e-9 * u:
+            return [], u, 0.0
+        lattices, weights = [(f.values[:-1] + 0.0, N[0], m[0])], 0.0
+    else:
+        g = np.minimum(m[:-1], m[1:])  # the width of each interior node's hats
+        kl, kr = m[:-1] // g, m[1:] // g
+        widths, first, grp = np.unique(g, return_index=True, return_inverse=True)
+        last = g.size - 1 - np.unique(g[::-1], return_index=True)[1]
+        start, stop = N[:-2][first], N[2:][last] - widths  # per width: first hat's left end, last hat
+        x0, w, size = bp[0] + u * start, u * widths, (stop - start) // widths + 1
+        s = (N[1:-1] - start[grp]) // g  # the lattice index of each node
+        xg, wg = x0[grp], w[grp]  # each node's lattice; its three points against it
+        drift = max(float(np.max(np.abs(bp[j : j + g.size] - (xg + wg * t))))
+                    for j, t in enumerate((s - kl, s, s + kr)))
+        if not drift <= 1e-9 * u:
+            return [], u, 0.0
+        base = np.cumsum(size) - size
+        lat = np.zeros(size.sum(), dtype=complex)
+        lat[base[grp] + s] += f.values[1:-1]  # each node's own hat, weight 1, one per point
+        # the other hats of a node between unequal segments, toward the longer
+        # one; those of two nodes may share a point, so they add in node order
+        split = np.flatnonzero(m[:-1] != m[1:])
+        r = kl[split] + kr[split] - 1
+        node = np.repeat(split, r)
+        k = np.arange(node.size) - np.repeat(np.cumsum(r) - kr[split], r)
+        node, k = node[k != 0], k[k != 0]
+        r = kl[node] + kr[node] - 1
+        coef = f.values[1:-1][node] * ((r - np.abs(k)) / r)
+        np.add.at(lat, base[grp[node]] + s[node] + k, coef)
+        lattices = list(zip(np.split(lat, base[1:]), start, widths))
+        weights = 2.0 * ULP * float(np.sum(np.abs(coef) * wg[node]))
     # with the float grid's own rounding
     dist = 2.0 * (drift + 2.0 * ULP * max(map(abs, f.span()))) * float(np.sum(np.abs(f.values)))
-    split = 2.0 * ULP * float(np.sum(np.abs(coef[k != 0]) * wg[node[k != 0]]))
-    return list(zip(np.split(lat, base[1:]), x0, w)), dist + split
+    return lattices, u, dist + weights
 
 
 def fourier_eval_many(f: PLFunction, ps) -> Tuple[np.ndarray, CertUpper]:
@@ -742,9 +735,13 @@ def fourier_eval_many(f: PLFunction, ps) -> Tuple[np.ndarray, CertUpper]:
     if ps.size * S > _CZT_COST * (S + ps.size):  # and so ps.size >= 5
         dp = (float(ps[-1]) - float(ps[0])) / (ps.size - 1)
         drift_p = float(np.max(np.abs(ps - (float(ps[0]) + dp * np.arange(ps.size)))))
-        lattices, extra = _hat_lattices(f, ps.size) if drift_p <= 1e-9 * abs(dp) else ([], 0.0)
-    for a, x0, w in lattices:
-        ev, ev_err = _grid_sums(a, x0, w, ps)
+        if drift_p <= 1e-9 * abs(dp):
+            lattices, u, extra = _hat_lattices(f)
+        if ps.size * S <= _CZT_COST * sum(a.size + ps.size for a, _, _ in lattices):
+            lattices, extra = [], 0.0
+    for a, start, g in lattices:
+        w = u * g
+        ev, ev_err = _grid_sums(a, f.breakpoints[0] + u * start, w, ps)
         out = out + w * np.sinc(ps * w / (2.0 * math.pi)) ** 2 * ev
         extra += w * ev_err
         phase_drift += (drift_p + 2.0 * ULP * pmax) * a.size * w

@@ -90,6 +90,20 @@ def test_wiener_invert_geometric():
     assert cert.params["eps"] == 0.45
 
 
+def test_wiener_invert_folds_each_grid_once(monkeypatch):
+    # the certifier samples with the call's own sampler, so the read-off at
+    # the certified grid folds nothing again; no sampler outlives the call
+    folds = []
+    fold = l1z.fold
+    monkeypatch.setattr(l1z, "fold", lambda a, n: folds.append(n) or fold(a, n))
+    f = L1ZSeq({0: 1.0, 1: 0.2j, -1: -0.2j})
+    _, cert = inversion.wiener_invert(f, 0.5, 1e-9)
+    assert folds == [64] and cert.params["grid"] == cert.params["degree"] == 64
+    assert len(inversion._SAMPLERS) == 0
+    ok, report = inversion.circle_min_modulus_certify(f, 0.5, 64)
+    assert ok and folds == [64, 64] and len(inversion._SAMPLERS) == 0
+
+
 def test_wiener_invert_randomized_sound(rng):
     for _ in range(20):
         base = random_seq(rng, nmax=4, scale=0.1)

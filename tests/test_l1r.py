@@ -289,25 +289,42 @@ def test_convolve_cross_term_with_input_slack():
         assert c.l1_slack.value <= cross + 1e-4, (s_f, s_g)
 
 
-# the cubic B-spline T * T, T the unit triangle: ascending coefficients in x
-# on each unit interval of [-2, 2]
-_TT_PIECES = (
-    (-2, (mpmath.mpf(8) / 6, 2, 1, mpmath.mpf(1) / 6)),
-    (-1, (mpmath.mpf(2) / 3, 0, -1, -mpmath.mpf(1) / 2)),
-    (0, (mpmath.mpf(2) / 3, 0, -1, mpmath.mpf(1) / 2)),
-    (1, (mpmath.mpf(8) / 6, -2, 1, -mpmath.mpf(1) / 6)),
-)
+def mp_abs_cubic_integral(q) -> mpmath.mpf:
+    """``int_0^1 |q(u)| du`` for real ascending coefficients ``q``, in closed
+    form between the real roots of ``q``."""
+    q = list(q)
+    while len(q) > 1 and q[-1] == 0:
+        q.pop()
+    cuts = [mpmath.mpf(0), mpmath.mpf(1)]
+    if len(q) > 1:
+        roots = mpmath.polyroots(q[::-1], maxsteps=200, extraprec=256)
+        cuts += [z.real for z in map(mpmath.mpc, roots)
+                 if abs(z.imag) <= 1e-30 and 0 < z.real < 1]
+    cuts.sort()
+
+    def Q(u):
+        return sum(qk * u ** (k + 1) / (k + 1) for k, qk in enumerate(q))
+
+    return mpmath.fsum(abs(Q(v) - Q(u)) for u, v in zip(cuts, cuts[1:]))
 
 
-def mp_triangle_square_distance(c: float, r: PLFunction) -> mpmath.mpf:
-    """128-bit bound at or above ``||c**2 T * T - r||_1``, ``T`` the unit triangle.
+def mp_conv_distance(f: PLFunction, g: PLFunction, r: PLFunction) -> mpmath.mpf:
+    """128-bit bound at or above ``||f * g - r||_1`` for real ``f``, ``g``.
 
-    On each piece between the breakpoints of ``r`` and the knots of ``T *
-    T``, the real part of the difference is a cubic in the local variable,
-    integrated in closed form between its real roots; ``int |Im r|`` is
-    added, so the value is at least the exact distance.
+    ``f = sum_i a_i (x - x_i)_+`` over its breakpoints, ``a_i`` the jumps of
+    its slope, ``g`` alike, and ``(x)_+ * (x)_+ = (x)_+**3 / 6``, so ``f * g
+    = sum_ij a_i b_j (x - x_i - y_j)_+**3 / 6``.  On each piece between the
+    breakpoints of ``r`` and the knots ``x_i + y_j`` the real part of the
+    difference is a cubic in the local variable (`mp_abs_cubic_integral`);
+    ``int |Im r|`` is added, so the value is at least the exact distance.
     """
-    c2 = mpmath.mpf(c) ** 2
+    def kinks(h):
+        x = [mpmath.mpf(v) for v in h.breakpoints]
+        v = [mpmath.mpf(float(z.real)) for z in h.values]
+        s = [0] + [(v[i + 1] - v[i]) / (x[i + 1] - x[i]) for i in range(len(x) - 1)] + [0]
+        return [(x[i], s[i + 1] - s[i]) for i in range(len(x))]
+
+    knots = sorted((x + y, a * b) for x, a in kinks(f) for y, b in kinks(g))
     bp = [mpmath.mpf(x) for x in r.breakpoints]
     vals = [mpc(v) for v in r.values]
 
@@ -317,36 +334,35 @@ def mp_triangle_square_distance(c: float, r: PLFunction) -> mpmath.mpf:
             return mpmath.mpc(0)
         return vals[i] + (vals[i + 1] - vals[i]) * (x - bp[i]) / (bp[i + 1] - bp[i])
 
-    xs = sorted(set(bp) | {mpmath.mpf(k) for k in range(-2, 3)})
+    xs = sorted(set(bp) | {k for k, _ in knots})
     total = mpmath.mpf(0)
     for a, b in zip(xs, xs[1:]):
         w = b - a
         ra, rb = r_at(a), r_at(b)
-        p = next((q for k, q in _TT_PIECES if k <= a < k + 1), (0, 0, 0, 0))
-        # c**2 p(a + w u) - Re r(a + w u), ascending in u
-        q = [c2 * sum(p[j] * mpmath.binomial(j, k) * a ** (j - k) for j in range(k, 4)) * w ** k
-             for k in range(4)]
+        q = [mpmath.mpf(0)] * 4  # (f * g)(a + w u) - Re r(a + w u), ascending in u
+        for k, c in knots:
+            if k > a:
+                break
+            d = a - k
+            q[0] += c * d ** 3 / 6
+            q[1] += c * d * d * w / 2
+            q[2] += c * d * w * w / 2
+            q[3] += c * w ** 3 / 6
         q[0] -= ra.real
         q[1] -= rb.real - ra.real
-        while len(q) > 1 and q[-1] == 0:
-            q.pop()
-        cuts = [mpmath.mpf(0), mpmath.mpf(1)]
-        if len(q) > 1:
-            roots = mpmath.polyroots(q[::-1], maxsteps=200, extraprec=256)
-            cuts += [z.real for z in map(mpmath.mpc, roots)
-                     if abs(z.imag) <= 1e-30 and 0 < z.real < 1]
-        cuts.sort()
-
-        def Q(u):
-            return sum(qk * u ** (k + 1) / (k + 1) for k, qk in enumerate(q))
-
-        total += w * mpmath.fsum(abs(Q(v) - Q(u)) for u, v in zip(cuts, cuts[1:]))
+        total += w * mp_abs_cubic_integral(q)
         ia, ib = ra.imag, rb.imag  # int_0^1 |ia + (ib - ia) u| du, split at its root
         if ia * ib >= 0:
             total += w * abs(ia + ib) / 2
         else:
             total += w * (ia * ia + ib * ib) / (2 * (abs(ia) + abs(ib)))
     return total
+
+
+def mp_triangle_square_distance(c: float, r: PLFunction) -> mpmath.mpf:
+    """128-bit bound at or above ``||c**2 T * T - r||_1``, ``T`` the unit triangle."""
+    t = triangle(0.0, 1.0, c)
+    return mp_conv_distance(t, t, r)
 
 
 def test_convolve_small_inputs_meet_tol():
@@ -359,6 +375,39 @@ def test_convolve_small_inputs_meet_tol():
             r = l1r.convolve(t, t, 1e-3)
         assert r.l1_slack.value <= 1e-3, c
         assert mpmath.mpf(r.l1_slack.value) >= mp_triangle_square_distance(c, r), c
+
+
+def test_banded_convolve_against_exact_product_on_uneven_lattice(monkeypatch):
+    # breakpoints 0, 4, 6, 7: the node at 4 (segments 4 and 2) has hats of
+    # width 2 on 0, 2, 4, the node at 6 of width 1 on 4, 5, 6.  A small value
+    # next to a large one gives the two bands different steps, and against a
+    # wide trapezoid the banded product stays within its slack of the exact one
+    calls = []
+    fast_conv = l1r._fast_conv
+    monkeypatch.setattr(l1r, "_fast_conv", lambda *args: calls.append(args[2]) or fast_conv(*args))
+    f = PLFunction([0.0, 4.0, 6.0, 7.0], [0.0, 0.05, 2.0, 0.0])
+    trap = PLFunction([-10.0, -5.0, 5.0, 10.0], [0.0, 1.0, 1.0, 0.0])
+    c = l1r.convolve(f, trap, 0.05)
+    assert len(calls) == 2  # one FFT per band step
+    assert mp_conv_distance(f, trap, c) <= c.l1_slack.value
+
+
+def test_convolve_does_not_split_lattices_that_do_not_nest():
+    # segments of 1, 2 and 3 units are not one hat lattice; widths of 1, 3
+    # and 6 units are, but do not nest, nor does a width-2 lattice on odd
+    # units.  Each takes the one-band plan, within its slack of the exact
+    # product
+    trap = PLFunction([-2.0, -1.0, 1.0, 2.0], [0.0, 1.0, 1.0, 0.0])
+    vals = [0, 1, 2, 3, 2, 1, 0.5, 0.3, 0.2, 0.1, 0.05, 0.02, 0]
+    uneven = PLFunction(0.25 * np.cumsum([0] + [1] * 6 + [2] * 3 + [3] * 3), vals)
+    threes = PLFunction(0.25 * np.cumsum([0] + [1] * 6 + [3] * 4 + [6] * 2), vals)
+    odd = PLFunction([0.0, 1.0, 3.0, 5.0, 7.0], [0.0, 1.0, 2.0, 0.5, 0.0])
+    assert not l1r._hat_lattices(uneven)[0]
+    assert l1r._hat_lattices(threes)[0] and l1r._hat_lattices(odd)[0]
+    for f, tol in ((uneven, 0.01), (threes, 0.05), (odd, 0.05)):
+        assert l1r._split_plan(f, 4.0, 2.0, 2.0, tol) is None
+        c = l1r.convolve(f, trap, tol)
+        assert mp_conv_distance(f, trap, c) <= c.l1_slack.value
 
 
 def test_convolve_builds_only_its_result(monkeypatch):
@@ -663,7 +712,7 @@ def test_fejer_kernel_grid_rule():
         v = l1r.dlvp_kernel(lam, tol)
         a, b = np.diff(v.breakpoints)[:-1], np.diff(v.breakpoints)[1:]
         assert np.all(np.maximum(a, b) % np.minimum(a, b) == 0.0)
-        assert l1r._hat_lattices(v, 1 << 20)[0]
+        assert l1r._hat_lattices(v)[0]
     assert k.breakpoints.size == 72571
     digest = hashlib.sha256(k.breakpoints.tobytes()).hexdigest()
     assert digest == "d99b20e9767752d68def7db0330d12ff7d8ad58bbca5b568eefcc015ea12a174"
