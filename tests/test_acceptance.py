@@ -230,7 +230,8 @@ def test_criterion_07_certified_bounds_dominate_oracles(rng):
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(1000):
             a = random_seq(rng, nmax=5)
-            path = os.path.join(tmp, "a.json")
+            # a new file per case: reopening one file for writing is slow on some filesystems
+            path = os.path.join(tmp, "a%d.json" % i)
             with open(path, "w") as fh:
                 fh.write(l1z.dumps(a))
             theta = float(rng.uniform(-math.pi, math.pi))

@@ -392,6 +392,31 @@ def test_banded_convolve_against_exact_product_on_uneven_lattice(monkeypatch):
     assert mp_conv_distance(f, trap, c) <= c.l1_slack.value
 
 
+def test_convolve_slack_covers_exact_distance(monkeypatch):
+    # the interpolation terms are the Peano constant h**2 / 8: on triangles,
+    # offset triangles of unequal height, a random real pair off any lattice
+    # (the one-band plan) and the uneven lattice times a trapezoid (a split
+    # into two bands), the exact distance stays within the slack
+    calls = []
+    fast_conv = l1r._fast_conv
+    monkeypatch.setattr(l1r, "_fast_conv", lambda *args: calls.append(args[2]) or fast_conv(*args))
+    rng = np.random.default_rng(7)
+    f6, g4 = (PLFunction(h.breakpoints, h.values.real) for h in (random_pl(rng, 6), random_pl(rng, 4)))
+    assert not f6._lattices[0] and not g4._lattices[0]
+    uneven = PLFunction([0.0, 4.0, 6.0, 7.0], [0.0, 0.05, 2.0, 0.0])
+    trap = PLFunction([-10.0, -5.0, 5.0, 10.0], [0.0, 1.0, 1.0, 0.0])
+    ratios = []
+    for tol in (1e-1, 1e-2):
+        for f, g in ((triangle(), triangle()), (triangle(0.5, 1.0, 1.0), triangle(-2.0, 0.75, 0.3)),
+                     (f6, g4), (uneven, trap)):
+            calls.clear()
+            c = l1r.convolve(f, g, tol)
+            assert len(calls) == (2 if f is uneven else 1), tol
+            ratios.append(mp_conv_distance(f, g, c) / c.l1_slack.value)
+    # sound, and tight: the former h**2 / 4 left every case below 0.26
+    assert max(ratios) <= 1 and max(ratios) > 0.4, ratios
+
+
 def test_convolve_does_not_split_lattices_that_do_not_nest():
     # segments of 1, 2 and 3 units are not one hat lattice; widths of 1, 3
     # and 6 units are, but do not nest, nor does a width-2 lattice on odd
@@ -585,6 +610,22 @@ def test_fourier_nested_lattices_match_closed_form(monkeypatch):
         assert abs(mpc(vals[j]) - mp_fourier(f, ps[j])) <= err.value - f.l1_slack.value
 
 
+def test_hat_lattices_built_once_per_element(monkeypatch):
+    # the line_divide pipeline transforms f on many grids and splits the
+    # kernels, the triangle, g and the witness in its products: each
+    # element's lattices are built once, and are read-only
+    built = []
+    hat_lattices = l1r._hat_lattices
+    monkeypatch.setattr(l1r, "_hat_lattices", lambda x: built.append(x) or hat_lattices(x))
+    f = l1r.fejer_kernel(1.05, 4e-3)
+    w = l1r.spectrum_compactify(triangle(0.0, 1.0, 0.25), 0.5, 0.01)
+    k, _ = l1r.tauberian_divide(f, l1r.convolve(f, w, 0.005), 0.5, 0.45, 0.05)
+    assert len(built) == len({id(x) for x in built}) >= 4  # each held, so each id distinct
+    assert any(x is f for x in built) and any(x is k for x in built)
+    lattices = [a for x in built for a, _, _ in x._lattices[0]]
+    assert lattices and not any(a.flags.writeable for a in lattices)
+
+
 def test_fourier_rough_input_is_not_resampled_to_the_cap():
     # random values at random breakpoints: breakpoints that are not uniform
     # take the closed form at any size, here 2,000,000 pairs, so the error
@@ -713,9 +754,9 @@ def test_fejer_kernel_grid_rule():
         a, b = np.diff(v.breakpoints)[:-1], np.diff(v.breakpoints)[1:]
         assert np.all(np.maximum(a, b) % np.minimum(a, b) == 0.0)
         assert l1r._hat_lattices(v)[0]
-    assert k.breakpoints.size == 72571
+    assert k.breakpoints.size == 36287
     digest = hashlib.sha256(k.breakpoints.tobytes()).hexdigest()
-    assert digest == "d99b20e9767752d68def7db0330d12ff7d8ad58bbca5b568eefcc015ea12a174"
+    assert digest == "35e48e5730f7a47e05ebe49aa8b3ba8f20c73aca4a71e07f90f4b084f0ef38f6"
 
 
 _GAUSS_LEGENDRE = mpmath.calculus.quadrature.GaussLegendre(mpmath.mp).calc_nodes(3, 128)
@@ -744,6 +785,18 @@ def test_fejer_slack_against_128bit_distance():
         k = l1r.fejer_kernel(lam, tol)
         assert np.unique(np.diff(k.breakpoints)).size >= 2
         assert mp_fejer_distance(k, lam) <= k.l1_slack.value
+
+
+def test_fejer_slack_covers_exact_distance_at_pipeline_tolerances():
+    # the interpolation term is the Peano constant h**3 / 12 times the
+    # curvature bound: at a narrow kernel and the line_divide one the slack
+    # covers the exact distance from K_lam
+    ratios = []
+    for lam, tol in ((4.0, 1e-2), (1.05, 4e-3)):
+        k = l1r.fejer_kernel(lam, tol)
+        ratios.append(mp_fejer_distance(k, lam) / k.l1_slack.value)
+    # sound, and tight: the former h**3 / 4 left both below 0.38
+    assert max(ratios) <= 1 and min(ratios) > 0.4, ratios
 
 
 def test_fejer_curvature_against_128bit_second_derivative():

@@ -50,11 +50,15 @@ def test_product_sizes_runs_both_pipelines():
     spec.loader.exec_module(module)
     from wiener import l1r
 
-    convolve, lines = l1r.convolve, []
+    convolve, fejer_kernel, lines = l1r.convolve, l1r.fejer_kernel, []
     rows = module.run(l1r, lines.append)
-    assert l1r.convolve is convolve  # nothing left wrapped
-    assert set(rows) == {"criterion_09", "line_divide"} and len(lines) == 10
+    assert l1r.convolve is convolve and l1r.fejer_kernel is fejer_kernel  # nothing left wrapped
+    assert set(rows) == {"criterion_09", "line_divide"} and len(lines) == 16
     # three products each; the smoothing product is split into bands
-    for calls in rows.values():
+    for pipeline in rows.values():
+        calls = pipeline["convolve"]
         assert len(calls) == 3 and all(nodes > 2 for _, _, _, nodes, _, _ in calls)
         assert calls[0][2] > 1
+        # f and the smoothing kernel, each within 2 support_tol
+        kernels = pipeline["fejer_kernel"]
+        assert len(kernels) == 2 and all(segs > 2 and slack <= 2.0 * tol for _, tol, segs, slack in kernels)

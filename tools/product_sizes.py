@@ -1,12 +1,14 @@
-"""Print the size and cost of each ``l1r.convolve`` call in two pipelines.
+"""Print the size and cost of each ``l1r.convolve`` and ``l1r.fejer_kernel``
+call in two pipelines.
 
 The pipelines are criterion 09's and one ``line_divide`` op of the
 benchmark (``fejer_kernel(1.05, 4e-3)``, ``spectrum_compactify(triangle(0,
 1, 0.25), 0.5, 0.01)``, ``convolve(f, ., 0.005)``, ``tauberian_divide(f, g,
-0.5, 0.45, 0.05)``).  For each call it prints the input segments, the bands
-(the FFT convolutions the call made), the output nodes, the slack and the
-time.  It reads only public names and ``_fast_conv``, so it runs against
-any checkout of the library.
+0.5, 0.45, 0.05)``).  For each product it prints the input segments, the
+bands (the FFT convolutions the call made), the output nodes, the slack and
+the time; for each kernel, its ``lam`` and ``support_tol``, its segments
+and its slack.  It reads only public names and ``_fast_conv``, so it runs
+against any checkout of the library.
 
 Usage: ``python3 tools/product_sizes.py [SRC]`` (default: the ``src`` next
 to this directory).
@@ -34,9 +36,10 @@ def _pipelines(l1r):
 
 
 def run(l1r, out=print):
-    """Run both pipelines with ``l1r.convolve`` wrapped; one row per call."""
-    convolve, fast_conv = l1r.convolve, l1r._fast_conv
-    rows, ffts = [], []
+    """Run both pipelines with ``l1r.convolve`` and ``l1r.fejer_kernel``
+    wrapped; per pipeline, one row per product and one per kernel."""
+    convolve, fast_conv, fejer_kernel = l1r.convolve, l1r._fast_conv, l1r.fejer_kernel
+    rows, kernels, ffts = [], [], []
 
     def counting_fast_conv(*args):
         ffts.append(1)
@@ -51,20 +54,29 @@ def run(l1r, out=print):
                      c.breakpoints.size, c.l1_slack.value, ms))
         return c
 
-    l1r.convolve, l1r._fast_conv = timed_convolve, counting_fast_conv
+    def sized_fejer_kernel(lam, support_tol):
+        k = fejer_kernel(lam, support_tol)
+        kernels.append((lam, support_tol, k.breakpoints.size - 1, k.l1_slack.value))
+        return k
+
+    l1r.convolve, l1r._fast_conv, l1r.fejer_kernel = timed_convolve, counting_fast_conv, sized_fejer_kernel
     try:
         result = {}
         for name, pipeline in _pipelines(l1r).items():
             rows.clear()
+            kernels.clear()
             pipeline()
-            result[name] = list(rows)
+            result[name] = {"convolve": list(rows), "fejer_kernel": list(kernels)}
             out(name)
             out("  %8s %8s %5s %8s %10s %8s" % ("segs f", "segs g", "bands", "nodes", "slack", "ms"))
             for row in rows:
                 out("  %8d %8d %5d %8d %10.3e %8.2f" % row)
+            out("  %8s %12s %8s %10s" % ("lam", "support_tol", "segs", "slack"))
+            for row in kernels:
+                out("  %8.3g %12.3e %8d %10.3e" % row)
         return result
     finally:
-        l1r.convolve, l1r._fast_conv = convolve, fast_conv
+        l1r.convolve, l1r._fast_conv, l1r.fejer_kernel = convolve, fast_conv, fejer_kernel
 
 
 def main(argv):
